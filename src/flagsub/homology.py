@@ -1,16 +1,19 @@
 """Reduced simplicial homology over a field, and sphere/ball certification.
 
-Ranks of boundary matrices are computed exactly: bitmask elimination
-over GF(2), dense modular elimination over GF(p), and fraction-free
-(Bareiss) elimination over the rationals.  Matrices are desk scale, so
-no sparse machinery is used.
+Ranks of boundary matrices are exact: XOR elimination on bitmask
+columns over GF(2), and one sparse integer column eliminator for GF(p),
+p > 2, and for Q (after Dumas, Heckenbach, Saunders and Welker, 2003),
+with no fractions and no tolerances.  ``classify`` takes every face
+link from one pass over the faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
+from typing import Iterable
 
-from .complexes import SimplicialComplex, from_faces, iter_bits
+from .complexes import SimplicialComplex, from_faces, iter_bits, iter_submasks
 
 __all__ = [
     "FieldSpec",
@@ -85,71 +88,52 @@ class BettiVector:
 
 def _rank_gf2(columns: list[int]) -> int:
     pivots: dict[int, int] = {}
-    rank = 0
     for col in columns:
-        cur = col
-        while cur:
-            top = cur.bit_length() - 1
+        while col:
+            top = col.bit_length() - 1
             pivot = pivots.get(top)
             if pivot is None:
-                pivots[top] = cur
-                rank += 1
+                pivots[top] = col
                 break
-            cur ^= pivot
-    return rank
+            col ^= pivot
+    return len(pivots)
 
 
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(c * inv) % p for c in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] % p:
-                factor = m[i][col]
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _rank(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), or over Q when p == 0, of sparse columns mapping
+    rows to nonzero integers (consumed).  While a pivot owns the lowest
+    row ``low`` of ``col``, ``col`` becomes ``a*col - b*pivot`` with
+    ``a = pivot[low]``, ``b = col[low]``: exact integer arithmetic, mod p
+    over GF(p); over Q each new pivot is divided by its entries' gcd."""
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        if p:
+            col = {r: v % p for r, v in col.items() if v % p}
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                if p == 0:
+                    g = gcd(*col.values())
+                    if g != 1:
+                        col = {r: v // g for r, v in col.items()}
+                pivots[low] = col
+                break
+            a, b = pivot[low], col[low]
+            if a != 1:
+                col = {r: a * v % p if p else a * v for r, v in col.items()}
+            for r, v in pivot.items():
+                x = col.get(r, 0) - b * v
+                if p:
+                    x %= p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+    return len(pivots)
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over the rationals, fraction-free."""
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        for i in range(rank + 1, nrows):
-            fi = m[i][col]
-            row = m[i]
-            top = m[rank]
-            for j in range(col, ncols):
-                row[j] = (row[j] * lead - fi * top[j]) // prev
-        prev = lead
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _boundary_rank(
-    lower: list[int], upper: list[int], spec: FieldSpec
-) -> int:
+def _boundary_rank(lower: list[int], upper: list[int], spec: FieldSpec) -> int:
     """Rank of the boundary map from card-k faces to card-(k-1) faces."""
     index = {f: i for i, f in enumerate(lower)}
     if spec.char == 2:
@@ -160,13 +144,32 @@ def _boundary_rank(
                 col |= 1 << index[f & ~(1 << b)]
             columns.append(col)
         return _rank_gf2(columns)
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        for pos, b in enumerate(iter_bits(f)):
-            rows[index[f & ~(1 << b)]][j] = -1 if pos % 2 else 1
-    if spec.char == 0:
-        return _rank_bareiss(rows)
-    return _rank_gfp(rows, spec.char)
+    sparse = []
+    for f in upper:
+        col, sign = {}, 1
+        for b in iter_bits(f):
+            col[index[f & ~(1 << b)]] = sign
+            sign = -sign
+        sparse.append(col)
+    return _rank(sparse, spec.char)
+
+
+def _betti_of_faces(faces: Iterable[int], spec: FieldSpec) -> BettiVector:
+    """Reduced Betti numbers of the downward-closed family ``faces``,
+    given in (cardinality, mask) order with the empty face first."""
+    by_card: list[list[int]] = []
+    for f in faces:
+        k = f.bit_count()
+        if k == len(by_card):
+            by_card.append([])
+        by_card[k].append(f)
+    top = len(by_card) - 1
+    ranks = [0] * (top + 2)
+    for k in range(1, top + 1):
+        ranks[k] = _boundary_rank(by_card[k - 1], by_card[k], spec)
+    return BettiVector(
+        tuple(len(by_card[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+    )
 
 
 def reduced_betti(K: SimplicialComplex, spec: FieldSpec = GF2) -> BettiVector:
@@ -176,18 +179,7 @@ def reduced_betti(K: SimplicialComplex, spec: FieldSpec = GF2) -> BettiVector:
     in dimension -1, so the entry at index -1 is 1 exactly for the
     complex ``{empty}``.
     """
-    by_card: dict[int, list[int]] = {}
-    for f in K.faces():
-        by_card.setdefault(f.bit_count(), []).append(f)
-    top = max(by_card)
-    ranks = [0] * (top + 2)
-    for k in range(1, top + 1):
-        ranks[k] = _boundary_rank(by_card.get(k - 1, []), by_card.get(k, []), spec)
-    values = tuple(
-        len(by_card.get(k, ())) - ranks[k] - ranks[k + 1]
-        for k in range(top + 1)
-    )
-    return BettiVector(values)
+    return _betti_of_faces(K.faces(), spec)
 
 
 @dataclass(frozen=True)
@@ -215,13 +207,18 @@ class HomologyClass:
         return self.kind == "ball"
 
 
-def _link_betti(
-    K: SimplicialComplex, spec: FieldSpec, with_evidence: bool
-) -> tuple[dict[int, BettiVector], dict[int, BettiVector] | None]:
-    evidence: dict[int, BettiVector] = {}
-    for f in K.faces():
-        evidence[f] = reduced_betti(K.link(f), spec)
-    return evidence, (evidence if with_evidence else None)
+def _link_betti(K: SimplicialComplex, spec: FieldSpec) -> dict[int, BettiVector]:
+    """Betti vector of every face link, from one pass over the faces.
+
+    ``links[f]`` lists ``g ^ f`` for the faces ``g`` containing ``f``, in
+    the (card, mask) order of ``K.faces()`` and with bit order kept, so
+    its boundary matrices equal those of ``K.link(f)``, signs included.
+    """
+    links: dict[int, list[int]] = {f: [] for f in K.faces()}
+    for g in K.faces():
+        for f in iter_submasks(g):
+            links[f].append(g ^ f)
+    return {f: _betti_of_faces(faces, spec) for f, faces in links.items()}
 
 
 def classify(
@@ -239,13 +236,14 @@ def classify(
     ball verdict additionally requires all facets to share a dimension.
     """
     dim = K.dim
-    betti_self = reduced_betti(K, spec)
     if dim == -1:
         # The one-face complex: concentrated in dimension -1.
-        return HomologyClass("sphere", -1, betti_self)
+        return HomologyClass("sphere", -1, reduced_betti(K, spec))
     if not K.is_pure():
-        return HomologyClass("other", dim, betti_self)
-    links, evidence = _link_betti(K, spec, with_evidence)
+        return HomologyClass("other", dim, reduced_betti(K, spec))
+    links = _link_betti(K, spec)
+    betti_self = links[0]  # the link of the empty face is K itself
+    evidence = links if with_evidence else None
 
     if all(
         b.is_concentrated(dim - f.bit_count()) for f, b in links.items()

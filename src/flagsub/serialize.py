@@ -74,6 +74,8 @@ def subdivision_from_doc(doc) -> SubdivisionMap:
     carrier = {0: 0}
     for key, names in raw.items():
         face = total.mask(key.split(","))
+        if face in carrier:
+            raise MalformedInstance(f"carrier key {key!r} names a face twice")
         if not isinstance(names, list):
             raise MalformedInstance(f"carrier of {key!r} must be a name list")
         carrier[face] = base.mask(names)

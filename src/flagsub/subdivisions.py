@@ -394,7 +394,7 @@ class SubdivisionMap:
         d = self._simplex_width()
         g = gamma_from_symmetric(self.local_h(), d)
         if isinstance(g, SymmetryFailure):
-            raise ArithmeticError(
+            raise NotHomologySubdivision(
                 f"local h-polynomial not symmetric at pair {g.i},{g.j}; "
                 "this indicates an invalid subdivision or a defect"
             )
@@ -442,7 +442,7 @@ def check_h_decomposition(
     d = s.base.dim + 1
     g_lhs = gamma_from_symmetric(h_lhs, d)
     if isinstance(g_lhs, SymmetryFailure):
-        raise ArithmeticError(
+        raise NotHomologySubdivision(
             "h of a subdivision of an Eulerian base is not symmetric: "
             f"pair {g_lhs.i},{g_lhs.j}"
         )
@@ -450,7 +450,9 @@ def check_h_decomposition(
     for F, piece, link in pieces:
         g_link = gamma_from_symmetric(h_polynomial(link), d - F.bit_count())
         if isinstance(g_link, SymmetryFailure):
-            raise ArithmeticError("link of an Eulerian complex is not Eulerian")
+            raise NotHomologySubdivision(
+                "link of an Eulerian complex is not Eulerian"
+            )
         g_rhs = g_rhs + piece.local_gamma().polynomial() * g_link.polynomial()
     return DecompositionCheck(h_lhs, h_rhs, g_lhs.polynomial(), g_rhs)
 

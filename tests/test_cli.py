@@ -172,6 +172,38 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     assert main(["suite", "--checks", "bogus", "--count", "1"]) == 3
 
 
+# Two disjoint edges over a 1-simplex: every structural carrier rule
+# holds, but the restriction to the full base face is not a ball.
+DISJOINT_EDGES = {
+    "base": {"labels": ["p", "q"], "facets": [["p", "q"]]},
+    "total": {"labels": ["p", "q", "m", "n"], "facets": [["m", "p"], ["n", "q"]]},
+    "carrier": {
+        "p": ["p"], "q": ["q"], "m": ["p", "q"], "n": ["p", "q"],
+        "m,p": ["p", "q"], "n,q": ["p", "q"],
+    },
+}
+
+
+def test_local_gamma_on_non_homology_subdivision_exits_3(capsys, tmp_path):
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps(DISJOINT_EDGES))
+    assert main(["local-gamma", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: local h-polynomial not symmetric")
+    assert "Traceback" not in err
+
+
+def test_duplicate_carrier_keys_are_rejected(capsys, tmp_path):
+    code, doc = run(capsys, "barycentric", "--vertices", "p,q")
+    key = next(k for k in doc["carrier"] if "," in k)
+    a, b = key.split(",")
+    doc["carrier"][f"{b},{a}"] = doc["carrier"][key]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert main(["local-h", str(path)]) == 3
+    assert "names a face twice" in capsys.readouterr().err
+
+
 def test_fixture_names_are_wired(capsys):
     for name in ("ex-2.3a", "ex-2.3b", "ex-2.3c", "rem-4.5"):
         code, doc = run(capsys, "fixture", name)

@@ -12,6 +12,7 @@ from flagsub.homology import (
     GF2,
     QQ,
     FieldSpec,
+    _rank,
     classify,
     interior_faces,
     reduced_betti,
@@ -67,8 +68,32 @@ def test_betti_matches_sympy_oracle_on_random_complexes():
             for _ in range(rng.randint(1, 5))
         ]
         K = from_facets(labels, gens)
-        assert list(reduced_betti(K, GF2).values) == sympy_reduced_betti(K, 2)
-        assert list(reduced_betti(K, QQ).values) == sympy_reduced_betti(K, 0)
+        for char in (2, 3, 5, 0):
+            got = reduced_betti(K, FieldSpec(char)).values
+            assert list(got) == sympy_reduced_betti(K, char)
+
+
+def test_rank_with_non_unit_pivots():
+    # [[2, 4, 0], [6, 3, 9]]: the first two columns have determinant
+    # -18 = -2 * 3**2, and the third is twice the first minus the second.
+    columns = [{0: 2, 1: 6}, {0: 4, 1: 3}, {1: 9}]
+    for p, rank in ((0, 2), (3, 1), (5, 2)):
+        assert _rank([dict(c) for c in columns], p) == rank
+
+
+def test_link_evidence_matches_sympy_oracle():
+    sphere = cross_polytope(3)
+    ball = from_facets(
+        ["a", "b", "c", "d", "e"], [["a", "b", "c"], ["a", "c", "d"], ["a", "d", "e"]]
+    )
+    for K, kind in ((sphere, "sphere"), (ball, "ball")):
+        for spec in (GF2, QQ):
+            hc = classify(K, spec, with_evidence=True)
+            assert hc.kind == kind
+            assert list(hc.betti.values) == sympy_reduced_betti(K, spec.char)
+            assert list(hc.evidence) == list(K.faces())
+            for f, b in hc.evidence.items():
+                assert list(b.values) == sympy_reduced_betti(K.link(f), spec.char)
 
 
 def test_projective_plane_distinguishes_fields():

@@ -9,6 +9,7 @@ from flagsub.errors import (
     CarrierMismatch,
     InvalidCarrier,
     NotAFace,
+    NotHomologySubdivision,
     VertexCollision,
 )
 from flagsub.harness import random_simplex_subdivision
@@ -407,6 +408,16 @@ def test_h_decomposition_simplex_base_has_no_gamma_part():
     chk = check_h_decomposition(s)
     assert chk.h_equal
     assert chk.gamma_lhs is None
+
+
+def test_h_decomposition_symmetry_failure_raises_not_homology_subdivision():
+    # A third point carried to a point of the 0-sphere: structurally
+    # valid, but h(total) = 1 + 2x is not symmetric.
+    s0 = from_facets(["a", "b"], [["a"], ["b"]])
+    points = from_facets(["a", "b", "c"], [["a"], ["b"], ["c"]])
+    extra = SubdivisionMap(points, s0, {0: 0, 1: 1, 2: 2, 4: 1})
+    with pytest.raises(NotHomologySubdivision):
+        check_h_decomposition(extra)
 
 
 def test_locality_trivial_inner():
