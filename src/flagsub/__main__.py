@@ -1,0 +1,8 @@
+"""``python -m flagsub``: the same command line as the ``flagsub`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

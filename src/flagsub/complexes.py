@@ -108,10 +108,7 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_{dim}) with f_-1 = 1."""
-        counts = [0] * (self.dim + 2)
-        for f in self._faces:
-            counts[f.bit_count()] += 1
-        return tuple(counts)
+        return tuple(face_counts(self._faces))
 
     def is_pure(self) -> bool:
         cards = {f.bit_count() for f in self.facets}
@@ -187,11 +184,24 @@ class SimplicialComplex:
         if self._mnf is not None:
             return self._mnf
         support = self.vertex_support
-        result: set[int] = set()
+        adjacent: dict[int, int] = {}
+        for f in self._faces:
+            if f.bit_count() == 2:
+                a = f & -f
+                adjacent[a] = adjacent.get(a, 0) | (f ^ a)
+                adjacent[f ^ a] = adjacent.get(f ^ a, 0) | a
         # Candidates at cardinality k are (k-1)-faces plus one support
         # vertex; a candidate is minimal iff all its facets are faces.
+        # From k = 3 on, that makes the added vertex a common neighbour
+        # of the face's vertices, so only those are tried.
+        result: set[int] = set()
+        common = {0: support}
         for face in self._faces:
-            for i in iter_bits(support & ~face):
+            if face:
+                low = face & -face
+                common[face] = common[face ^ low] & adjacent.get(low, 0)
+            reach = common[face] if face.bit_count() > 1 else support & ~face
+            for i in iter_bits(reach):
                 cand = face | (1 << i)
                 if cand in self._face_set or cand in result:
                     continue
@@ -205,6 +215,34 @@ class SimplicialComplex:
 
     def is_flag(self) -> bool:
         return all(m.bit_count() == 2 for m in self.minimal_non_faces())
+
+
+def face_counts(faces: Iterable[int]) -> list[int]:
+    """Counts by cardinality of a face family given in (card, mask)
+    order, as ``K.faces()`` and the lists of `link_table` are."""
+    counts: list[int] = []
+    for f in faces:
+        k = f.bit_count()
+        if k == len(counts):
+            counts.append(0)
+        counts[k] += 1
+    return counts
+
+
+def link_table(K: SimplicialComplex) -> dict[int, list[int]]:
+    """The faces of every face link, from one pass over the faces.
+
+    ``links[f]`` lists ``g ^ f`` for the faces ``g`` containing ``f``, in
+    the (card, mask) order of ``K.faces()`` and on the ground set of
+    ``K``: the faces of ``K.link(f)`` with bit order kept, so boundary
+    matrices built from them equal those of ``K.link(f)``, signs
+    included.  The cost is linear in the sum of 2**|g| over the faces.
+    """
+    links: dict[int, list[int]] = {f: [] for f in K.faces()}
+    for g in K.faces():
+        for f in iter_submasks(g):
+            links[f].append(g ^ f)
+    return links
 
 
 def _antichain(masks: Iterable[int]) -> set[int]:

@@ -261,7 +261,7 @@ def _check_local_h_symmetry(inst: Instance) -> CheckResult:
 def _check_local_h_nonneg(inst: Instance) -> CheckResult:
     if inst.subdivision is None:
         return CheckResult("skipped")
-    if not inst.subdivision.validate(fast=True).is_quasi_geometric:
+    if inst.subdivision.quasi_geometric_witness() is not None:
         return CheckResult("skipped")
     ell = inst.subdivision.local_h()
     if ell.is_nonnegative():

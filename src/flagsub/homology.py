@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
-from .complexes import SimplicialComplex, from_faces, iter_bits, iter_submasks
+from .complexes import SimplicialComplex, from_faces, iter_bits, link_table
 
 __all__ = [
     "FieldSpec",
@@ -208,17 +208,8 @@ class HomologyClass:
 
 
 def _link_betti(K: SimplicialComplex, spec: FieldSpec) -> dict[int, BettiVector]:
-    """Betti vector of every face link, from one pass over the faces.
-
-    ``links[f]`` lists ``g ^ f`` for the faces ``g`` containing ``f``, in
-    the (card, mask) order of ``K.faces()`` and with bit order kept, so
-    its boundary matrices equal those of ``K.link(f)``, signs included.
-    """
-    links: dict[int, list[int]] = {f: [] for f in K.faces()}
-    for g in K.faces():
-        for f in iter_submasks(g):
-            links[f].append(g ^ f)
-    return {f: _betti_of_faces(faces, spec) for f, faces in links.items()}
+    """Betti vector of every face link, read from one `link_table`."""
+    return {f: _betti_of_faces(faces, spec) for f, faces in link_table(K).items()}
 
 
 def classify(

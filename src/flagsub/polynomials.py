@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence, Union
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, face_counts, link_table
 from .errors import InteriorNotSubset
 
 
@@ -160,6 +160,27 @@ def h_from_face_counts(counts: Sequence[int], d: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
+def local_h_from_counts(
+    counts: dict[tuple[int, int], int], d: int, e: int = 0
+) -> IntPolynomial:
+    """Stanley's face formula for a local h-polynomial over a base of
+    width d, relative to a face of cardinality ``e`` (0 for the plain
+    local h).
+
+    ``counts[g, m]`` is the number of faces G with |G| = g whose carrier
+    has m vertices; the result is the sum over them of
+    (-1)**(d-m) * x**(g-e+d-m) * (1-x)**(m-g), of degree at most d - e.
+    """
+    out = [0] * (d - e + 1)
+    for (g, m), n in counts.items():
+        if (d - m) % 2:
+            n = -n
+        shift = g - e + d - m
+        for j in range(m - g + 1):
+            out[shift + j] += (-1) ** j * n * comb(m - g, j)
+    return IntPolynomial(out)
+
+
 def h_polynomial(K: SimplicialComplex) -> IntPolynomial:
     """h-polynomial: the face sum x**|F| (1-x)**(d-|F|) with d = dim+1."""
     return h_from_face_counts(K.f_vector(), K.dim + 1)
@@ -184,23 +205,21 @@ def reduced_euler_characteristic(K: SimplicialComplex) -> int:
     return sum(-1 if f.bit_count() % 2 == 0 else 1 for f in K.faces())
 
 
+def is_eulerian_link(counts: Sequence[int]) -> bool:
+    """A link with these face counts (f_-1, f_0, ...) has reduced Euler
+    characteristic (-1)**(its dim)."""
+    chi = sum(-n if k % 2 == 0 else n for k, n in enumerate(counts))
+    return chi == (-1 if len(counts) % 2 else 1)
+
+
 def is_eulerian(K: SimplicialComplex) -> bool:
-    """Every face link has reduced Euler characteristic (-1)**(its dim)."""
-    faces = K.faces()
-    for f in faces:
-        chi = 0
-        top = f.bit_count()
-        for g in faces:
-            if g & f == f:
-                k = g.bit_count()
-                chi += -1 if (k - f.bit_count()) % 2 == 0 else 1
-                if k > top:
-                    top = k
-        link_dim = top - f.bit_count() - 1
-        want = -1 if link_dim % 2 else 1
-        if chi != want:
-            return False
-    return True
+    """Every face link has reduced Euler characteristic (-1)**(its dim).
+
+    All links come from one `link_table`, so the cost is linear in the
+    sum of 2**|G| over the faces G."""
+    return all(
+        is_eulerian_link(face_counts(faces)) for faces in link_table(K).values()
+    )
 
 
 @dataclass(frozen=True)

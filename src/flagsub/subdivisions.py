@@ -12,13 +12,17 @@ quasi-geometric / vertex-induced / flag hierarchy are checked by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import (
     SimplicialComplex,
+    _translate,
+    face_counts,
     from_faces,
     iter_bits,
     iter_submasks,
+    link_table,
     simplex,
 )
 from .errors import (
@@ -39,7 +43,8 @@ from .polynomials import (
     gamma_from_symmetric,
     h_from_face_counts,
     h_polynomial,
-    is_eulerian,
+    is_eulerian_link,
+    local_h_from_counts,
 )
 
 
@@ -120,11 +125,14 @@ class LocalityCheck:
         return self.lhs == self.rhs
 
 
-def _translate(mask: int, table: dict[int, int]) -> int:
-    out = 0
-    for i in iter_bits(mask):
-        out |= 1 << table[i]
-    return out
+def _local_gamma(ell: IntPolynomial, d: int) -> GammaVector:
+    g = gamma_from_symmetric(ell, d)
+    if isinstance(g, SymmetryFailure):
+        raise NotHomologySubdivision(
+            f"local h-polynomial not symmetric at pair {g.i},{g.j}; "
+            "this indicates an invalid subdivision or a defect"
+        )
+    return g
 
 
 def _face_repr(K: SimplicialComplex, mask: int) -> str:
@@ -196,14 +204,6 @@ class SubdivisionMap:
 
     # -- restrictions ----------------------------------------------------
 
-    def restriction_face_masks(self, F: int) -> list[int]:
-        """Total faces whose carrier lies inside base face ``F``."""
-        return [E for E, c in self.carrier.items() if c & F == c]
-
-    def restriction_complex(self, F: int) -> SimplicialComplex:
-        """The restriction as a subcomplex on the full total ground set."""
-        return from_faces(self.total.labels, self.restriction_face_masks(F))
-
     def restriction(self, F: int) -> "SubdivisionMap":
         """Restriction over base face ``F``, as a subdivision of a simplex.
 
@@ -213,7 +213,7 @@ class SubdivisionMap:
         """
         if F not in self.base.face_set:
             raise NotAFace(f"{_face_repr(self.base, F)} is not a base face")
-        masks = self.restriction_face_masks(F)
+        masks = [E for E, c in self.carrier.items() if c & F == c]
         support = 0
         for m in masks:
             support |= m
@@ -241,40 +241,59 @@ class SubdivisionMap:
         of the right dimension with interior equal to the carrier
         preimage.  With ``fast=True`` homology is skipped: restrictions
         are only checked for purity and for interior match against the
-        unique-facet boundary rule.
+        unique-facet boundary rule.  The faces of each restriction are
+        read from one bucketing of the total faces by exact carrier.
         """
         failures: list[tuple[str, str]] = []
-        hs = qg = vi = fl = True
+        hs = vi = fl = True
 
         def face_name(c: SimplicialComplex, m: int) -> str:
             return ",".join(c.names(m)) if m else "()"
 
+        by_carrier: dict[int, list[int]] = {}
+        for E, c in self.carrier.items():
+            by_carrier.setdefault(c, []).append(E)
+        subfaces = {E: [E ^ (1 << b) for b in iter_bits(E)] for E in self.carrier}
+        covered_by = {
+            c: {f for E in faces for f in subfaces[E]}
+            for c, faces in by_carrier.items()
+        }
+        # A face lies on the vertices of the restriction to F iff the
+        # union u of its vertex carriers lies in F, and is missing from
+        # the restriction iff its carrier does not: only faces carried
+        # beyond u can do both.
+        loose = [
+            (E, u, self.carrier[E])
+            for E, u in self._vertex_carrier_unions().items()
+            if u != self.carrier[E]
+        ]
+
         for F in self.base.faces():
             if F == 0:
                 continue
-            masks = self.restriction_face_masks(F)
-            K_F = from_faces(self.total.labels, masks)
-            preimage = {E for E in masks if self.carrier[E] == F}
+            # The restriction holds the buckets of the submasks of F; its
+            # facets are the faces that no face of it covers.
+            below = list(iter_submasks(F))
+            masks = [E for c in below for E in by_carrier[c]]
+            covered = set().union(*(covered_by[c] for c in below))
+            facets = [E for E in masks if E not in covered]
+            K_F = SimplicialComplex(self.total.labels, facets)
+            preimage = set(by_carrier[F])
             card = F.bit_count()
 
             if fast:
-                if not all(f.bit_count() == card for f in K_F.facets):
+                if not all(f.bit_count() == card for f in facets):
                     hs = False
                     failures.append(
                         (face_name(self.base, F), "restriction not pure of full dimension")
                     )
                     continue
-                codim1 = [
-                    f
-                    for f in K_F.faces()
-                    if f.bit_count() == card - 1
-                    and sum(1 for g in K_F.facets if f & g == f) == 1
-                ]
+                in_facets = Counter(f for g in facets for f in subfaces[g])
                 boundary: set[int] = set()
-                for f in codim1:
-                    boundary.update(iter_submasks(f))
-                interior = set(masks) - boundary
-                if preimage != interior:
+                for f, n in in_facets.items():
+                    if n == 1:
+                        boundary.update(iter_submasks(f))
+                if preimage != set(masks) - boundary:
                     hs = False
                     failures.append(
                         (face_name(self.base, F), "carrier preimage is not the interior")
@@ -298,12 +317,8 @@ class SubdivisionMap:
 
             # vertex-induced: restriction equals the induced subcomplex
             # on its own vertex set.
-            W = 0
-            for m in masks:
-                W |= m
-            mask_set = set(masks)
-            for E in self.total.faces():
-                if E & W == E and E not in mask_set:
+            for E, u, c in loose:
+                if u & F == u and c & F != c:
                     vi = False
                     failures.append(
                         (
@@ -320,25 +335,43 @@ class SubdivisionMap:
                     (face_name(self.base, F), "restriction is not flag")
                 )
 
-        # quasi-geometric, via the vertex-carrier-union cardinality
-        # criterion: the union of vertex carriers is itself a base face,
-        # so a lower-dimensional witness exists iff the union is smaller
-        # than the face.
-        for E in self.total.faces():
-            union = 0
-            for b in iter_bits(E):
-                union |= self.carrier[1 << b]
-            if union.bit_count() < E.bit_count():
-                qg = False
-                failures.append(
-                    (
-                        face_name(self.total, E),
-                        "vertex carriers fit inside a lower-dimensional base face",
-                    )
+        witness = self.quasi_geometric_witness()
+        if witness is not None:
+            failures.append(
+                (
+                    face_name(self.total, witness),
+                    "vertex carriers fit inside a lower-dimensional base face",
                 )
-                break
+            )
 
-        return SubdivisionVerdict(hs, qg, vi, fl, tuple(failures))
+        return SubdivisionVerdict(hs, witness is None, vi, fl, tuple(failures))
+
+    def quasi_geometric_witness(self) -> int | None:
+        """The first total face whose vertex carriers fit inside a base
+        face of lower dimension, or None when the map is quasi-geometric.
+
+        The union of the vertex carriers of a face is itself a base face
+        (a face of its carrier), so such a witness exists iff the union
+        is smaller than the face.
+        """
+        return next(
+            (
+                E
+                for E, u in self._vertex_carrier_unions().items()
+                if u.bit_count() < E.bit_count()
+            ),
+            None,
+        )
+
+    def _vertex_carrier_unions(self) -> dict[int, int]:
+        """The union of the vertex carriers of every total face, in face
+        order; each extends the union of the face minus its lowest
+        vertex, which comes earlier in (card, mask) order."""
+        unions = {0: 0}
+        for E in self.total.faces()[1:]:
+            low = E & -E
+            unions[E] = unions[E ^ low] | self.carrier[low]
+        return unions
 
     # -- local invariants ------------------------------------------------
 
@@ -349,56 +382,57 @@ class SubdivisionMap:
         return len(self.base.labels)
 
     def local_h(self) -> IntPolynomial:
-        """Alternating face-count sum of restriction h-polynomials."""
+        """Local h-polynomial of a subdivision of the (d-1)-simplex.
+
+        By definition the alternating sum over base faces F of
+        (-1)**(d-|F|) h(restriction to F); summing over F first gives
+        Stanley's face formula (Stanley, "Subdivisions and local
+        h-vectors", JAMS 5, 1992)
+
+            l(x) = sum over faces G of
+                   (-1)**(d-|s(G)|) x**(|G|+d-|s(G)|) (1-x)**(|s(G)|-|G|),
+
+        with s the carrier map, read here from one histogram of the
+        faces by (|G|, |s(G)|).
+        """
         d = self._simplex_width()
-        full = (1 << d) - 1
-        items = list(self.carrier.items())
-        out = ZERO
-        for F in iter_submasks(full):
-            card = F.bit_count()
-            counts = [0] * (card + 1)
-            for E, c in items:
-                if c & F == c:
-                    counts[E.bit_count()] += 1
-            term = h_from_face_counts(counts, card)
-            out = out + (term if (d - card) % 2 == 0 else -term)
-        return out
+        counts = Counter(
+            (G.bit_count(), c.bit_count()) for G, c in self.carrier.items()
+        )
+        return local_h_from_counts(counts, d)
 
     def relative_local_h(self, E: int) -> IntPolynomial:
-        """Local contribution at a total face, summing links over the
-        base faces containing its carrier.  Reduces to `local_h` at the
-        empty face."""
+        """Relative local h-polynomial at a total face ``E``.
+
+        By definition the alternating sum over the base faces F
+        containing s(E) of (-1)**(d-|F|) times the h-polynomial, of
+        width |F|-|E|, of the link of E in the restriction to F.
+        Summing over F first gives Stanley's face formula (JAMS 5, 1992)
+
+            l_E(x) = sum over faces G containing E of
+                     (-1)**(d-|s(G)|) x**(|G|-|E|+d-|s(G)|) (1-x)**(|s(G)|-|G|),
+
+        read from one histogram of those G by (|G|, |s(G)|).  At the
+        empty face it is `local_h`.
+        """
         d = self._simplex_width()
         if E not in self.total.face_set:
             raise NotAFace(f"{_face_repr(self.total, E)} is not a face")
-        c0 = self.carrier[E]
-        e_card = E.bit_count()
-        full = (1 << d) - 1
-        over = [
-            (G, c) for G, c in self.carrier.items() if G & E == E
-        ]
-        out = ZERO
-        for T in iter_submasks(full & ~c0):
-            F = c0 | T
-            card = F.bit_count()
-            counts = [0] * (card - e_card + 1)
-            for G, c in over:
-                if c & F == c:
-                    counts[G.bit_count() - e_card] += 1
-            term = h_from_face_counts(counts, card - e_card)
-            out = out + (term if (d - card) % 2 == 0 else -term)
-        return out
+        # The faces containing E: E joined with each face of its link,
+        # read from the facets through E.
+        star = {
+            E | f
+            for g in self.total.facets
+            if g & E == E
+            for f in iter_submasks(g ^ E)
+        }
+        counts = Counter((G.bit_count(), self.carrier[G].bit_count()) for G in star)
+        return local_h_from_counts(counts, d, E.bit_count())
 
     def local_gamma(self) -> GammaVector:
         """Gamma coordinates of the local h-polynomial, centered at d/2."""
         d = self._simplex_width()
-        g = gamma_from_symmetric(self.local_h(), d)
-        if isinstance(g, SymmetryFailure):
-            raise NotHomologySubdivision(
-                f"local h-polynomial not symmetric at pair {g.i},{g.j}; "
-                "this indicates an invalid subdivision or a defect"
-            )
-        return g
+        return _local_gamma(self.local_h(), d)
 
     def interior_stats(self) -> InteriorStats:
         d = self._simplex_width()
@@ -419,25 +453,53 @@ class SubdivisionMap:
 # -- structural check operations ------------------------------------------
 
 
+def _restricted_local_h(s: SubdivisionMap) -> dict[int, IntPolynomial]:
+    """Local h of the restriction to every base face.
+
+    The face formula of `SubdivisionMap.local_h` at width |F| runs over
+    the faces carried into F, and its factor (-x)**(|F|-|s(G)|) depends
+    on F only through |F|.  So with p_c the formula at width |c| over
+    the faces carried exactly onto c, the local h of the restriction to
+    F is the sum over the base faces c inside F of (-x)**(|F|-|c|) p_c.
+    """
+    buckets: dict[int, Counter] = {}
+    for G, c in s.carrier.items():
+        buckets.setdefault(c, Counter())[G.bit_count(), c.bit_count()] += 1
+    pieces = {c: local_h_from_counts(n, c.bit_count()).coeffs for c, n in buckets.items()}
+    out = {}
+    for F in s.base.faces():
+        width = F.bit_count()
+        acc = [0] * (width + 1)
+        for c in iter_submasks(F):
+            shift = width - c.bit_count()
+            sign = -1 if shift % 2 else 1
+            for i, a in enumerate(pieces[c]):
+                acc[shift + i] += sign * a
+        out[F] = IntPolynomial(acc)
+    return out
+
+
 def check_h_decomposition(
     s: SubdivisionMap, verify: bool = False, spec: FieldSpec = GF2
 ) -> DecompositionCheck:
     """h(total) against the face sum of local contributions times links.
 
-    When the base is Eulerian the gamma-level identity is emitted as
-    well.  Equality is the caller's property to assert, not assumed.
+    This is Stanley's decomposition h(total) = sum over base faces F of
+    l_F(x) h(link of F) (JAMS 5, 1992), with l_F the local h of the
+    restriction to F.  When the base is Eulerian the gamma-level
+    identity is emitted as well.  Equality is the caller's property to
+    assert, not assumed.
     """
     if verify and not s.validate(spec).is_homology_subdivision:
         raise NotHomologySubdivision("input failed homology validation")
     h_lhs = h_polynomial(s.total)
+    local = _restricted_local_h(s)
+    link_counts = {F: face_counts(faces) for F, faces in link_table(s.base).items()}
+    link_h = {F: h_from_face_counts(c, len(c) - 1) for F, c in link_counts.items()}
     h_rhs = ZERO
-    pieces: list[tuple[int, SubdivisionMap, SimplicialComplex]] = []
     for F in s.base.faces():
-        piece = s.restriction(F)
-        link = s.base.link(F)
-        pieces.append((F, piece, link))
-        h_rhs = h_rhs + piece.local_h() * h_polynomial(link)
-    if not is_eulerian(s.base):
+        h_rhs = h_rhs + local[F] * link_h[F]
+    if not all(is_eulerian_link(c) for c in link_counts.values()):
         return DecompositionCheck(h_lhs, h_rhs)
     d = s.base.dim + 1
     g_lhs = gamma_from_symmetric(h_lhs, d)
@@ -447,13 +509,14 @@ def check_h_decomposition(
             f"pair {g_lhs.i},{g_lhs.j}"
         )
     g_rhs = ZERO
-    for F, piece, link in pieces:
-        g_link = gamma_from_symmetric(h_polynomial(link), d - F.bit_count())
+    for F in s.base.faces():
+        g_link = gamma_from_symmetric(link_h[F], d - F.bit_count())
         if isinstance(g_link, SymmetryFailure):
             raise NotHomologySubdivision(
                 "link of an Eulerian complex is not Eulerian"
             )
-        g_rhs = g_rhs + piece.local_gamma().polynomial() * g_link.polynomial()
+        g_local = _local_gamma(local[F], F.bit_count())
+        g_rhs = g_rhs + g_local.polynomial() * g_link.polynomial()
     return DecompositionCheck(h_lhs, h_rhs, g_lhs.polynomial(), g_rhs)
 
 
@@ -461,9 +524,10 @@ def check_locality(outer: SubdivisionMap, inner: SubdivisionMap) -> LocalityChec
     """Local h of a composed subdivision against the locality face sum."""
     composed = compose(outer, inner)
     lhs = composed.local_h()
+    local = _restricted_local_h(inner)
     rhs = ZERO
     for E in outer.total.faces():
-        rhs = rhs + inner.restriction(E).local_h() * outer.relative_local_h(E)
+        rhs = rhs + local[E] * outer.relative_local_h(E)
     return LocalityCheck(lhs, rhs)
 
 

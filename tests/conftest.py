@@ -52,6 +52,62 @@ def sympy_local_h(s: SubdivisionMap) -> list[int]:
     return out
 
 
+def sympy_poly(coeffs: list[int]):
+    """A dense coefficient list as a sympy expression in x."""
+    return sum((c * x**i for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+def dense_coeffs(expr, width: int) -> list[int]:
+    """Coefficients [c_0 .. c_width] of a sympy expression in x, with
+    trailing zeros dropped, as IntPolynomial stores them."""
+    expr = sympy.expand(expr)
+    out = [int(expr.coeff(x, i)) for i in range(width + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def sympy_relative_local_h(s: SubdivisionMap, E: int) -> list[int]:
+    """Literal alternating sum over the base faces F containing the
+    carrier of E of (-1)**(d-|F|) times the face sum, at width |F|-|E|,
+    of the link of E in the restriction to F."""
+    d = len(s.base.labels)
+    full = (1 << d) - 1
+    c0 = s.carrier[E]
+    e = E.bit_count()
+    expr = sympy.Integer(0)
+    for F in iter_submasks(full):
+        if F & c0 != c0:
+            continue
+        width = F.bit_count() - e
+        for G, c in s.carrier.items():
+            if G & E == E and c & F == c:
+                k = G.bit_count() - e
+                expr += (-1) ** (d - F.bit_count()) * x**k * (1 - x) ** (width - k)
+    return dense_coeffs(expr, d - e)
+
+
+def sympy_h_of(K: SimplicialComplex):
+    """The h face sum of a complex as a sympy expression, at width
+    dim + 1."""
+    d = K.dim + 1
+    return sum(
+        (x ** f.bit_count() * (1 - x) ** (d - f.bit_count()) for f in K.faces()),
+        sympy.Integer(0),
+    )
+
+
+def literal_is_eulerian(K: SimplicialComplex) -> bool:
+    """Direct rule: every face link L = K.link(f) has reduced Euler
+    characteristic (-1)**dim(L), counted face by face."""
+    for f in K.faces():
+        L = K.link(f)
+        chi = sum((-1) ** (g.bit_count() - 1) for g in L.faces())
+        if chi != (-1) ** (L.dim % 2):
+            return False
+    return True
+
+
 def sympy_reduced_betti(K: SimplicialComplex, char: int = 0) -> list[int]:
     """Reduced Betti numbers via sympy matrix ranks.
 

@@ -1,8 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flagsub.cli import main
+from flagsub.harness import GeneratorSpec, random_flag_sphere
+from flagsub.serialize import complex_from_doc, subdivision_from_doc
 
 HEX = {
     "labels": ["a", "b", "c", "d", "e", "f"],
@@ -127,6 +137,59 @@ def test_generate_is_reproducible(capsys):
     assert a == b
     assert a["spec"]["moves"] == ["edge-subdivide"]
     assert "rng" in a
+
+
+def test_generate_wide_document_reads_back(capsys, tmp_path):
+    # 70 edge subdivisions of the octahedron (6 labels) give 76 labels,
+    # beyond the default width of `from_facets`.
+    code, doc = run(capsys, "generate", "--dim", "3", "--steps", "70", "--seed", "1")
+    assert code == 0
+    assert len(doc["complex"]["labels"]) == 76
+    complex_path = tmp_path / "complex.json"
+    complex_path.write_text(json.dumps(doc["complex"]))
+    trail_path = tmp_path / "trail.json"
+    trail_path.write_text(json.dumps(doc["trail"]))
+    code, g = run(capsys, "gamma", str(complex_path))
+    assert code == 0 and g["d"] == 3
+    code, h = run(capsys, "hvec", str(complex_path))
+    assert code == 0 and h["f"][1] == 76
+    code, v = run(capsys, "check-subdivision", str(trail_path), "--fast")
+    assert code == 0 and v["homology_subdivision"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=3),
+    steps=st.integers(min_value=0, max_value=75),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(dim=3, steps=70, seed=1)
+def test_generate_documents_read_back_equal(dim, steps, seed):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(
+            ["generate", "--dim", str(dim), "--steps", str(steps), "--seed", str(seed)]
+        )
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    K, trail = random_flag_sphere(GeneratorSpec(dim, steps, seed))
+    assert complex_from_doc(doc["complex"]) == K
+    assert subdivision_from_doc(doc["trail"]) == trail
+
+
+def test_python_m_flagsub_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagsub", "--version"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "0.1.0"
 
 
 def test_generate_size_guard(capsys):

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagsub.complexes import cross_polytope, from_facets, simplex
+from flagsub.complexes import cross_polytope, cross_polytope_on, from_facets, simplex
 from flagsub.errors import InteriorNotSubset
+from flagsub.harness import (
+    GeneratorSpec,
+    random_flag_sphere,
+    random_simplex_subdivision,
+    random_sphere_pair,
+)
 from flagsub.homology import classify, interior_faces
 from flagsub.polynomials import (
     GammaVector,
@@ -21,7 +27,7 @@ from flagsub.polynomials import (
 )
 from flagsub.subdivisions import barycentric_subdivision
 
-from conftest import sympy_h
+from conftest import literal_is_eulerian, sympy_h
 
 
 def test_polynomial_arithmetic_basics():
@@ -108,6 +114,46 @@ def test_is_eulerian():
     assert is_eulerian(cross_polytope(2))
     assert not is_eulerian(simplex(["a", "b", "c"]))
     assert is_eulerian(cross_polytope(4))
+
+
+def two_octahedra_glued_at_antipodes():
+    """Eulerian without being a manifold: the links of the two shared
+    vertices are two disjoint circles each, whose reduced Euler
+    characteristic is that of one circle."""
+    facets = []
+    for us, vs in ((["u1", "u2", "u3"], ["v1", "v2", "v3"]),
+                   (["u1", "x2", "x3"], ["v1", "y2", "y3"])):
+        octahedron = cross_polytope_on(us, vs)
+        facets += [octahedron.names(f) for f in octahedron.facets]
+    labels = ["u1", "u2", "u3", "v1", "v2", "v3", "x2", "x3", "y2", "y3"]
+    return from_facets(labels, facets)
+
+
+def test_is_eulerian_matches_literal_link_rule():
+    rng = random.Random(3)
+    complexes = [
+        simplex(["a", "b", "c"]),
+        simplex(["a"]),
+        from_facets(["a"], []),
+        from_facets(["a", "b", "c", "d"], [["a", "b", "c"], ["c", "d"]]),
+        cross_polytope(1),
+        cross_polytope(3),
+        random_flag_sphere(GeneratorSpec(3, 4, 2))[0],
+        random_sphere_pair(3, 1, 2, 5).base,
+        barycentric_subdivision(["a", "b", "c"]).total,
+        two_octahedra_glued_at_antipodes(),
+    ]
+    complexes += [
+        random_simplex_subdivision(("p", "q", "r", "s")[:d], 2, seed).total
+        for seed, d in enumerate((2, 3, 4))
+    ]
+    complexes += [
+        from_facets("abcdef", [rng.sample("abcdef", rng.randint(1, 4)) for _ in range(5)])
+        for _ in range(12)
+    ]
+    verdicts = [is_eulerian(K) for K in complexes]
+    assert verdicts == [literal_is_eulerian(K) for K in complexes]
+    assert True in verdicts and False in verdicts
 
 
 def test_dehn_sommerville_for_eulerian_instances():

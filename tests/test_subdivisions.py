@@ -12,8 +12,8 @@ from flagsub.errors import (
     NotHomologySubdivision,
     VertexCollision,
 )
-from flagsub.harness import random_simplex_subdivision
-from flagsub.polynomials import IntPolynomial, h_polynomial
+from flagsub.harness import random_simplex_subdivision, random_sphere_pair
+from flagsub.polynomials import IntPolynomial, gamma_from_symmetric, h_polynomial
 from flagsub.subdivisions import (
     SubdivisionMap,
     barycentric_subdivision,
@@ -28,7 +28,15 @@ from flagsub.subdivisions import (
     trivial_subdivision,
 )
 
-from conftest import literal_quasi_geometric, poly_coeffs, sympy_local_h
+from conftest import (
+    dense_coeffs,
+    literal_quasi_geometric,
+    poly_coeffs,
+    sympy_h_of,
+    sympy_local_h,
+    sympy_poly,
+    sympy_relative_local_h,
+)
 
 X = IntPolynomial([0, 1])
 
@@ -366,6 +374,8 @@ def test_quasi_geometric_cardinality_criterion_matches_literal_form():
     ]
     for s in cases:
         assert s.validate(fast=True).is_quasi_geometric == literal_quasi_geometric(s)
+        assert (s.quasi_geometric_witness() is None) == literal_quasi_geometric(s)
+    assert any(s.quasi_geometric_witness() is not None for s in cases)
 
 
 def test_hierarchy_on_random_instances():
@@ -532,3 +542,86 @@ def test_unimodality_counterexample_is_pinned():
     s = example_complexes("ex-2.3b")
     assert s.validate(fast=True).is_quasi_geometric
     assert not s.local_h().is_unimodal()
+
+
+# -- local invariants against literal oracles ---------------------------------
+
+
+def simplex_subdivisions():
+    """Seeded subdivisions of the 1-, 2- and 3-simplex."""
+    return [
+        random_simplex_subdivision(tuple(letters(2 + seed % 3)), 1 + seed % 4, seed)
+        for seed in range(9)
+    ]
+
+
+def sphere_subdivisions():
+    """Seeded flag subdivisions of flag 1- and 2-spheres."""
+    return [
+        random_sphere_pair(2 + seed % 2, seed % 3, 1 + seed % 2, seed)
+        for seed in range(6)
+    ]
+
+
+def test_restricted_local_h_matches_sympy_oracle():
+    from flagsub.subdivisions import _restricted_local_h
+
+    for s in simplex_subdivisions() + sphere_subdivisions():
+        local = _restricted_local_h(s)
+        assert set(local) == set(s.base.faces())
+        for F in s.base.faces():
+            assert poly_coeffs(local[F]) == sympy_local_h(s.restriction(F))
+
+
+def test_relative_local_h_matches_sympy_oracle():
+    for s in simplex_subdivisions():
+        for E in s.total.faces():
+            assert poly_coeffs(s.relative_local_h(E)) == sympy_relative_local_h(s, E)
+
+
+def test_h_decomposition_sides_match_literal_sums():
+    for s in simplex_subdivisions() + sphere_subdivisions():
+        chk = check_h_decomposition(s)
+        d = s.base.dim + 1
+        sphere = s.base.facets != {(1 << len(s.base.labels)) - 1}
+        rhs = 0
+        gamma_rhs = IntPolynomial()
+        for F in s.base.faces():
+            ell = sympy_local_h(s.restriction(F))
+            link = s.base.link(F)
+            rhs += sympy_poly(ell) * sympy_h_of(link)
+            if sphere:
+                link_h = IntPolynomial(dense_coeffs(sympy_h_of(link), link.dim + 1))
+                g_local = gamma_from_symmetric(IntPolynomial(ell), F.bit_count())
+                g_link = gamma_from_symmetric(link_h, d - F.bit_count())
+                gamma_rhs = gamma_rhs + g_local.polynomial() * g_link.polynomial()
+        assert poly_coeffs(chk.h_lhs) == dense_coeffs(sympy_h_of(s.total), d)
+        assert poly_coeffs(chk.h_rhs) == dense_coeffs(rhs, d)
+        if sphere:
+            assert chk.gamma_lhs == gamma_from_symmetric(chk.h_lhs, d).polynomial()
+            assert chk.gamma_rhs == gamma_rhs
+        else:
+            assert chk.gamma_lhs is None
+        assert chk.ok
+
+
+def test_locality_sides_match_literal_sums():
+    rng = random.Random(1)
+    for seed in range(4):
+        d = 2 + seed % 2
+        outer = random_simplex_subdivision(tuple(letters(d)), 1 + seed % 2, seed)
+        inner = trivial_subdivision(outer.total)
+        for _ in range(1 + seed % 2):
+            edges = [f for f in inner.total.faces() if f.bit_count() == 2]
+            inner = compose(
+                inner, edge_subdivision(inner.total, edges[rng.randrange(len(edges))])
+            )
+        chk = check_locality(outer, inner)
+        rhs = 0
+        for E in outer.total.faces():
+            rhs += sympy_poly(sympy_local_h(inner.restriction(E))) * sympy_poly(
+                sympy_relative_local_h(outer, E)
+            )
+        assert poly_coeffs(chk.lhs) == sympy_local_h(compose(outer, inner))
+        assert poly_coeffs(chk.rhs) == dense_coeffs(rhs, d)
+        assert chk.ok
