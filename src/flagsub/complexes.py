@@ -10,7 +10,8 @@ are safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GroundSetOverlap,
@@ -44,23 +45,54 @@ def iter_bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A downward-closed family of subsets of a labeled ground set.
 
-    Stored as the antichain of facets plus the eagerly computed full
-    face list, ordered by (cardinality, bitmask value) so that output
-    is deterministic.
+    Stored as the antichain of facets plus the full face list, ordered
+    by (cardinality, bitmask value) so that output is deterministic.
+    Both come from one pass over the distinct generators, largest
+    first: a generator becomes a facet unless it is already a face of
+    the facets kept before it, and each new facet adds its submasks.
     """
 
     __slots__ = ("labels", "facets", "_index", "_faces", "_face_set", "_mnf")
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise UnknownVertex("ground set labels must be distinct")
-        self._index = {name: i for i, name in enumerate(self.labels)}
-        self.facets = frozenset(_antichain(facet_masks))
+        facets: set[int] = set()
         faces: set[int] = set()
-        for f in self.facets:
-            faces.update(iter_submasks(f))
-        self._faces = tuple(sorted(faces, key=lambda m: (m.bit_count(), m)))
+        for g in sorted(set(facet_masks), key=int.bit_count, reverse=True):
+            if g not in faces:
+                facets.add(g)
+                faces.update(iter_submasks(g))
+        if not facets:
+            facets.add(0)
+            faces.add(0)
+        self._fill(labels, facets, faces, sorted(sorted(faces), key=int.bit_count))
+
+    @classmethod
+    def _from_ordered(
+        cls, labels: tuple[str, ...], facets: Iterable[int], faces: Sequence[int]
+    ) -> "SimplicialComplex":
+        """A complex from its facet antichain and its full face list in
+        (card, mask) order, taken as given.  Only library code that
+        produced both lists itself, on distinct labels, may call this."""
+        self = cls.__new__(cls)
+        self._fill(labels, set(facets), set(faces), faces)
+        return self
+
+    def _fill(
+        self,
+        labels: tuple[str, ...],
+        facets: set[int],
+        faces: set[int],
+        ordered: Sequence[int],
+    ) -> None:
+        # A frozenset copied from a set is sized for its contents; one
+        # built from a sequence keeps the slack of incremental growth.
+        self.labels = labels
+        self._index = {name: i for i, name in enumerate(labels)}
+        self.facets = frozenset(facets)
+        self._faces = tuple(ordered)
         self._face_set = frozenset(faces)
         self._mnf = None
 
@@ -210,7 +242,7 @@ class SimplicialComplex:
                     for j in iter_bits(cand)
                 ):
                     result.add(cand)
-        self._mnf = tuple(sorted(result, key=lambda m: (m.bit_count(), m)))
+        self._mnf = tuple(sorted(sorted(result), key=int.bit_count))
         return self._mnf
 
     def is_flag(self) -> bool:
@@ -245,14 +277,11 @@ def link_table(K: SimplicialComplex) -> dict[int, list[int]]:
     return links
 
 
-def _antichain(masks: Iterable[int]) -> set[int]:
-    """Drop dominated generators; result always contains at least 0."""
-    pool = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
-    keep: list[int] = []
-    for m in pool:
-        if not any(m & g == m for g in keep):
-            keep.append(m)
-    return set(keep) if keep else {0}
+def card_offsets(faces: Sequence[int], top: int) -> list[int]:
+    """Where each cardinality 0..top+1 starts in a face family given in
+    (card, mask) order, as ``K.faces()`` is: for k <= top the faces of
+    cardinality k are ``faces[offsets[k]:offsets[k + 1]]``."""
+    return [bisect_left(faces, k, key=int.bit_count) for k in range(top + 2)]
 
 
 def _translate(mask: int, table: dict[int, int]) -> int:
@@ -284,7 +313,10 @@ def from_facets(
 def from_faces(labels: Iterable[str], face_masks: Iterable[int]) -> SimplicialComplex:
     """Complex whose facets are the maximal members of ``face_masks``.
 
-    The input is assumed downward closed; only maximality is computed.
+    The input is assumed downward closed.  Members are visited largest
+    first and each one that is not yet a face of the facets kept so far
+    becomes a facet, so a downward-closed input costs one set lookup per
+    member that is not a facet.
     """
     return SimplicialComplex(labels, face_masks)
 

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, cross_polytope, from_facets
+from .complexes import SimplicialComplex, card_offsets, cross_polytope, from_facets
 from .errors import MalformedInstance
 from .polynomials import (
     GammaVector,
@@ -60,10 +60,18 @@ class GeneratorSpec:
 
 
 def _random_edge_step(K: SimplicialComplex, rng: random.Random) -> SubdivisionMap:
-    edges = [f for f in K.faces() if f.bit_count() == 2]
+    at = card_offsets(K.faces(), 2)
+    edges = K.faces()[at[2] : at[3]]
     if not edges:
         raise MalformedInstance("complex has no edges to subdivide")
     return edge_subdivision(K, edges[rng.randrange(len(edges))])
+
+
+def _size_guard(num_faces: int, max_faces: int) -> None:
+    if num_faces > max_faces:
+        raise MalformedInstance(
+            f"instance exceeded {max_faces} faces; refuse to continue"
+        )
 
 
 def random_flag_sphere(
@@ -86,6 +94,9 @@ def random_flag_sphere(
             step = _random_edge_step(K, rng)
             trail = compose(trail, step)
         else:
+            # The join with a two-point sphere has exactly three times
+            # the faces, so refuse before building it.
+            _size_guard(3 * K.num_faces(), max_faces)
             pair_index = len(trail.base.labels) // 2 + 1
             s0 = from_facets(
                 (f"u{pair_index}", f"v{pair_index}"),
@@ -93,10 +104,7 @@ def random_flag_sphere(
             )
             trail = join_subdivision(trail, trivial_subdivision(s0))
         K = trail.total
-        if K.num_faces() > max_faces:
-            raise MalformedInstance(
-                f"instance exceeded {max_faces} faces; refuse to continue"
-            )
+        _size_guard(K.num_faces(), max_faces)
     return K, trail
 
 
@@ -113,10 +121,7 @@ def random_simplex_subdivision(
     for _ in range(steps):
         step = _random_edge_step(s.total, rng)
         s = compose(s, step)
-        if s.total.num_faces() > max_faces:
-            raise MalformedInstance(
-                f"instance exceeded {max_faces} faces; refuse to continue"
-            )
+        _size_guard(s.total.num_faces(), max_faces)
     return s
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .complexes import (
     SimplicialComplex,
     _translate,
+    card_offsets,
     face_counts,
     from_faces,
     iter_bits,
@@ -166,7 +167,8 @@ class SubdivisionMap:
         if self.carrier[0] != 0:
             raise InvalidCarrier("empty face must carry to the empty face")
         base_faces = base.face_set
-        for E, c in self.carrier.items():
+        table = self.carrier
+        for E, c in table.items():
             if c not in base_faces:
                 raise InvalidCarrier(
                     f"carrier of {total.names(E)} is not a face of the base"
@@ -175,12 +177,15 @@ class SubdivisionMap:
                 raise InvalidCarrier(
                     f"carrier of {total.names(E)} has smaller dimension"
                 )
-            for b in iter_bits(E):
-                sub = self.carrier[E & ~(1 << b)]
+            rest = E
+            while rest:
+                low = rest & -rest
+                sub = table[E ^ low]
                 if sub & c != sub:
                     raise InvalidCarrier(
                         f"carrier not monotone at {total.names(E)}"
                     )
+                rest ^= low
         if len(set(self.carrier.values())) != len(base_faces):
             raise InvalidCarrier("carrier map is not surjective onto the base")
 
@@ -555,7 +560,14 @@ def stellar_subdivision(
 ) -> SubdivisionMap:
     """Replace the star of ``face`` by the cone over its boundary joined
     with its link.  Old faces keep their identity carrier; faces through
-    the new vertex carry to their closure union ``face``."""
+    the new vertex carry to their closure union ``face``.
+
+    The total is read off K in one pass: its faces are K's faces outside
+    the open star of ``face``, plus the new vertex joined with the rim of
+    the closed star (the faces H not containing ``face`` with H | face a
+    face).  The new vertex is the highest bit, so splicing the two lists
+    cardinality by cardinality keeps (card, mask) order.
+    """
     if face not in K.face_set:
         raise NotAFace(f"{K.names(face)} is not a face")
     if face == 0:
@@ -565,17 +577,26 @@ def stellar_subdivision(
     if new_vertex in K.labels:
         raise VertexCollision(f"label {new_vertex!r} already present")
     v_bit = 1 << len(K.labels)
-    facets: list[int] = []
-    for G in K.facets:
-        if G & face != face:
-            facets.append(G)
-        else:
-            for b in iter_bits(face):
-                facets.append(v_bit | (G & ~(1 << b)))
-    total = SimplicialComplex(K.labels + (new_vertex,), facets)
-    carrier = {
-        E: ((E & ~v_bit) | face) if E & v_bit else E for E in total.faces()
-    }
+    face_set = K.face_set
+    outside = [G for G in K.faces() if G & face != face]
+    rim = [H for H in outside if H | face in face_set]
+    top = K.faces()[-1].bit_count()
+    out_at = card_offsets(outside, top)
+    rim_at = card_offsets(rim, top)
+    faces = outside[: out_at[1]]
+    for k in range(1, top + 1):
+        faces += outside[out_at[k] : out_at[k + 1]]
+        faces += [v_bit | H for H in rim[rim_at[k - 1] : rim_at[k]]]
+    facets = [G for G in K.facets if G & face != face]
+    facets += [
+        v_bit | (G ^ (1 << b))
+        for G in K.facets
+        if G & face == face
+        for b in iter_bits(face)
+    ]
+    total = SimplicialComplex._from_ordered(K.labels + (new_vertex,), facets, faces)
+    carrier = dict(zip(outside, outside))
+    carrier.update((v_bit | H, H | face) for H in rim)
     return SubdivisionMap(total, K, carrier)
 
 

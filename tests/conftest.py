@@ -153,6 +153,25 @@ def literal_quasi_geometric(s: SubdivisionMap) -> bool:
     return True
 
 
+def _antichain(masks) -> set[int]:
+    """Drop dominated generators; result always contains at least 0."""
+    pool = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
+    keep: list[int] = []
+    for m in pool:
+        if not any(m & g == m for g in keep):
+            keep.append(m)
+    return set(keep) if keep else {0}
+
+
+def literal_complex(masks) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Facets and (card, mask)-ordered faces of the downward closure of
+    ``masks``: the maximal generators by pairwise containment tests,
+    then every submask of each, sorted on an explicit tuple key."""
+    facets = _antichain(masks)
+    faces = {f for g in facets for f in iter_submasks(g)}
+    return frozenset(facets), tuple(sorted(faces, key=lambda m: (m.bit_count(), m)))
+
+
 def brute_downward_closed(K: SimplicialComplex) -> bool:
     faces = K.face_set
     return all(

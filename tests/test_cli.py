@@ -177,19 +177,42 @@ def test_generate_documents_read_back_equal(dim, steps, seed):
     assert subdivision_from_doc(doc["trail"]) == trail
 
 
-def test_python_m_flagsub_runs():
+def _module_env() -> dict:
+    """The environment for running ``python -m flagsub`` on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_flagsub_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "flagsub", "--version"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_module_env(),
         timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_reader_closing_early_exits_0_without_traceback():
+    # The document is about 137 kB, more than a pipe buffer holds, so
+    # the writer is still writing when the reader goes away.
+    with subprocess.Popen(
+        [sys.executable, "-m", "flagsub", "generate", "--dim", "4",
+         "--steps", "30", "--seed", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_module_env(),
+    ) as proc:
+        assert len(proc.stdout.read(200)) == 200
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 0
+    assert stderr == b""
 
 
 def test_generate_size_guard(capsys):

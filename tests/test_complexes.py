@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flagsub.complexes import (
+    SimplicialComplex,
+    card_offsets,
     cross_polytope,
     cross_polytope_on,
     from_facets,
@@ -17,7 +21,7 @@ from flagsub.errors import (
     UnknownVertex,
 )
 
-from conftest import brute_downward_closed
+from conftest import brute_downward_closed, literal_complex
 
 
 def masks_to_names(K, masks):
@@ -232,6 +236,33 @@ def test_downward_closure_of_random_complexes():
         # facets form an antichain
         for f in K.facets:
             assert not any(g != f and f & g == f for g in K.facets)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12)
+        )
+    )
+)
+@example((0, []))
+@example((0, [0]))
+@example((3, [7, 7, 3, 1, 0]))
+@example((4, [3, 5, 3, 6, 12, 9, 1]))
+def test_construction_matches_literal_oracle(case):
+    # Random generator lists: duplicates, dominated generators, the
+    # empty list and [0] all occur.
+    n, gens = case
+    labels = [f"w{i}" for i in range(n)]
+    K = SimplicialComplex(labels, gens)
+    facets, faces = literal_complex(gens)
+    assert K.facets == facets
+    assert K.faces() == faces
+    assert K.face_set == frozenset(faces)
+    at = card_offsets(K.faces(), K.dim + 1)
+    assert at[-1] == K.num_faces()
+    for k in range(K.dim + 2):
+        assert all(f.bit_count() == k for f in K.faces()[at[k] : at[k + 1]])
 
 
 def test_equality_is_labels_plus_facets():

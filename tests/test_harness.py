@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from flagsub import harness
 from flagsub.errors import MalformedInstance
 from flagsub.harness import (
     CHECKS,
@@ -77,6 +81,55 @@ def test_mixed_moves_keep_flag_spheres():
 def test_size_guard_trips():
     with pytest.raises(MalformedInstance):
         random_flag_sphere(GeneratorSpec(2, 3, seed=0), max_faces=5)
+
+
+def test_size_guard_refuses_join_before_building_it(monkeypatch):
+    # Each join-with-S0 triples the face count; the guard must trip
+    # before a join builds a complex beyond the cap, not after.
+    sizes = []
+    real_join = harness.join_subdivision
+
+    def spy(s1, s2):
+        out = real_join(s1, s2)
+        sizes.append(out.total.num_faces())
+        return out
+
+    monkeypatch.setattr(harness, "join_subdivision", spy)
+    spec = GeneratorSpec(3, 75, 4, ("edge-subdivide", "join-with-S0"))
+    with pytest.raises(MalformedInstance):
+        random_flag_sphere(spec, max_faces=5000)
+    assert sizes
+    assert max(sizes) <= 5000
+
+
+def _doc_sha(s) -> str:
+    text = json.dumps(subdivision_to_doc(s), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generator_documents_are_pinned():
+    # Digests of the documents as the generators wrote them before
+    # complex construction and stellar moves were rewritten: a change of
+    # face order, facet choice or RNG draws moves them.
+    edge_only = random_flag_sphere(GeneratorSpec(3, 6, seed=11))[1]
+    mixed = random_flag_sphere(
+        GeneratorSpec(2, 6, seed=4, moves=("edge-subdivide", "join-with-S0"))
+    )[1]
+    assert len(mixed.base.labels) > 4  # at least one join was drawn
+    ball = random_simplex_subdivision(("a", "b", "c", "d"), 8, 3)
+    pair = random_sphere_pair(3, 3, 4, seed=5)
+    assert _doc_sha(edge_only) == (
+        "45b230aff60ee065c54a93b60686537cb5f4bb02b6ceb846aac24c22446907fd"
+    )
+    assert _doc_sha(mixed) == (
+        "7e76a86ff39f916caf9e7217b0cc52e1defa2618652a6c6cc0c4e9401049741c"
+    )
+    assert _doc_sha(ball) == (
+        "89d8a49d276bea453c802036d8d5b19155b12319c20b5f73128c21ec0b35ecdd"
+    )
+    assert _doc_sha(pair) == (
+        "4a42b88a51e331d768992f6bbe8f139469b718e2bba32c9aa68beadd161649d6"
+    )
 
 
 def test_sphere_pair_is_subdivision_of_smaller_sphere():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flagsub.complexes import cross_polytope, from_facets, simplex
+from flagsub.complexes import SimplicialComplex, cross_polytope, from_facets, simplex
 from flagsub.errors import (
     BaseMismatch,
     BaseNotSimplex,
@@ -142,6 +142,39 @@ def test_stellar_default_vertex_name():
     s = stellar_subdivision(K, K.mask(["a", "b"]))
     assert barycenter_name(("b", "a")) == "b{a.b}"
     assert "b{a.b}" in s.total.labels
+
+
+def test_stellar_total_and_carrier_match_the_facet_construction():
+    # The star-local construction against the literal one: facets
+    # rebuilt from K's facets, faces from a fresh closure, carriers by
+    # the rule on the new vertex.
+    rng = random.Random(41)
+    for trial in range(25):
+        labels = letters(rng.randint(2, 7))
+        gens = [
+            rng.sample(labels, rng.randint(1, len(labels)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        K = from_facets(labels, gens)
+        for face in K.faces()[1:]:
+            s = stellar_subdivision(K, face, "new")
+            total = s.total
+            v_bit = 1 << len(K.labels)
+            facets = [G for G in K.facets if G & face != face] + [
+                v_bit | (G & ~(1 << b))
+                for G in K.facets
+                if G & face == face
+                for b in range(len(K.labels))
+                if face >> b & 1
+            ]
+            closure = SimplicialComplex(total.labels, total.facets)
+            assert total == SimplicialComplex(total.labels, facets)
+            assert total.faces() == closure.faces()
+            assert total.face_set == closure.face_set
+            assert s.carrier == {
+                E: ((E & ~v_bit) | face) if E & v_bit else E
+                for E in total.faces()
+            }
 
 
 def test_stellar_validates_fully():
