@@ -22,6 +22,7 @@ from .constructions import (
 from .errors import FlagsubError, MalformedInstance
 from .harness import (
     CHECKS,
+    MAX_FACES,
     RNG_NAME,
     GeneratorSpec,
     Instance,
@@ -172,7 +173,7 @@ def _cmd_fixture(args) -> int:
 def _cmd_generate(args) -> int:
     moves = tuple(args.moves.split(","))
     spec = GeneratorSpec(args.dim, args.steps, args.seed, moves)
-    if not args.force and 3**args.dim > 1 << 22:
+    if not args.force and 3**args.dim > MAX_FACES:
         raise MalformedInstance(
             f"dim {args.dim} starts above the size guard; pass --force"
         )

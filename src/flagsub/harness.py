@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, card_offsets, cross_polytope, from_facets
-from .errors import MalformedInstance
+from .errors import FlagsubError, MalformedInstance
 from .polynomials import (
     GammaVector,
     SymmetryFailure,
@@ -35,8 +35,10 @@ from .subdivisions import (
 #: recorded in every report header.
 RNG_NAME = "mersenne-twister (python random.Random)"
 
-#: Refuse to grow instances beyond this many total faces.
-MAX_FACES = 1 << 22
+#: Refuse to grow instances beyond this many total faces.  Each
+#: `join-with-S0` triples the face count; a trail refused at this cap
+#: peaks at about 130 MiB.
+MAX_FACES = 1 << 18
 
 EDGE_SUBDIVIDE = "edge-subdivide"
 JOIN_WITH_S0 = "join-with-S0"
@@ -403,10 +405,12 @@ def _digests(inst: Instance) -> dict[str, list[int]]:
             out["gamma"] = g.to_list()
         out["h"] = h_polynomial(inst.complex).to_list()
     if inst.subdivision is not None:
+        # A base that is not a simplex or a map that is no homology
+        # subdivision has no local digests; any other error is a defect.
         try:
             out["local_h"] = inst.subdivision.local_h().to_list()
             out["xi"] = inst.subdivision.local_gamma().to_list()
-        except Exception:
+        except FlagsubError:
             pass
     return out
 

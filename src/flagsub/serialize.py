@@ -78,7 +78,7 @@ def subdivision_from_doc(doc) -> SubdivisionMap:
         face = total.mask(key.split(","))
         if face in carrier:
             raise MalformedInstance(f"carrier key {key!r} names a face twice")
-        if not isinstance(names, list):
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
             raise MalformedInstance(f"carrier of {key!r} must be a name list")
         carrier[face] = base.mask(names)
     missing = [E for E in total.faces() if E not in carrier]

@@ -8,6 +8,15 @@ carriers for maps that are not vertex-induced.  Structural invariants
 empty) are enforced at construction; the homological axioms and the
 quasi-geometric / vertex-induced / flag hierarchy are checked by
 `SubdivisionMap.validate`.
+
+Validation reads the restriction Δ_F = {E : s(E) ⊆ F} to each base
+face F from carriers alone.  A total face E is a facet of Δ_F exactly
+when s(E) ⊆ F and no cofacet of E is carried into F, which settles
+purity and the unique-facet interior rule.  Δ_F fails to be flag
+exactly when some N with |N| >= 3 has every N - v carried into F while
+N is a minimal non-face of the total or a total face carried outside
+F.  So fast validation builds no complex, and full validation builds
+each Δ_F only to certify its homology.
 """
 
 from __future__ import annotations
@@ -136,6 +145,11 @@ def _local_gamma(ell: IntPolynomial, d: int) -> GammaVector:
     return g
 
 
+def _quasi_geometric_witness(unions: dict[int, int]) -> int | None:
+    """The first face whose union of vertex carriers is smaller than it."""
+    return next((E for E, u in unions.items() if u.bit_count() < E.bit_count()), None)
+
+
 def _face_repr(K: SimplicialComplex, mask: int) -> str:
     if mask >> len(K.labels):
         return bin(mask)
@@ -242,12 +256,21 @@ class SubdivisionMap:
     ) -> SubdivisionVerdict:
         """Check the subdivision axioms and the property hierarchy.
 
-        Full validation certifies every restriction as a homology ball
-        of the right dimension with interior equal to the carrier
-        preimage.  With ``fast=True`` homology is skipped: restrictions
-        are only checked for purity and for interior match against the
-        unique-facet boundary rule.  The faces of each restriction are
-        read from one bucketing of the total faces by exact carrier.
+        Full validation builds the restriction Δ_F to every base face F
+        and certifies it as a homology ball of dimension |F| - 1 whose
+        interior is the carrier preimage of F.  With ``fast=True``
+        homology is skipped and no restriction is built: Δ_F is only
+        checked for purity and for interior match against the
+        unique-facet boundary rule, both read from the carriers of the
+        cofacets of every total face (see `_restriction_defects`).  The
+        flag verdict of Δ_F comes from the same carrier data in both
+        modes.
+
+        Failures are listed base face by base face in face order: in
+        fast mode an impure restriction reports only its impurity; then
+        the interior, the first face that is induced by the vertices of
+        Δ_F but not carried into F, and non-flagness; the
+        quasi-geometric witness comes last.
         """
         failures: list[tuple[str, str]] = []
         hs = vi = fl = True
@@ -255,55 +278,39 @@ class SubdivisionMap:
         def face_name(c: SimplicialComplex, m: int) -> str:
             return ",".join(c.names(m)) if m else "()"
 
-        by_carrier: dict[int, list[int]] = {}
-        for E, c in self.carrier.items():
-            by_carrier.setdefault(c, []).append(E)
-        subfaces = {E: [E ^ (1 << b) for b in iter_bits(E)] for E in self.carrier}
-        covered_by = {
-            c: {f for E in faces for f in subfaces[E]}
-            for c, faces in by_carrier.items()
-        }
         # A face lies on the vertices of the restriction to F iff the
         # union u of its vertex carriers lies in F, and is missing from
         # the restriction iff its carrier does not: only faces carried
         # beyond u can do both.
-        loose = [
-            (E, u, self.carrier[E])
-            for E, u in self._vertex_carrier_unions().items()
-            if u != self.carrier[E]
-        ]
+        unions = self._vertex_carrier_unions()
+        loose = [(E, u, self.carrier[E]) for E, u in unions.items() if u != self.carrier[E]]
+        impure, not_interior, not_flag = self._restriction_defects(loose)
+        by_carrier: dict[int, list[int]] = {}
+        if not fast:
+            for E, c in self.carrier.items():
+                by_carrier.setdefault(c, []).append(E)
 
         for F in self.base.faces():
             if F == 0:
                 continue
-            # The restriction holds the buckets of the submasks of F; its
-            # facets are the faces that no face of it covers.
-            below = list(iter_submasks(F))
-            masks = [E for c in below for E in by_carrier[c]]
-            covered = set().union(*(covered_by[c] for c in below))
-            facets = [E for E in masks if E not in covered]
-            K_F = SimplicialComplex(self.total.labels, facets)
-            preimage = set(by_carrier[F])
-            card = F.bit_count()
 
             if fast:
-                if not all(f.bit_count() == card for f in facets):
+                if F in impure:
                     hs = False
                     failures.append(
                         (face_name(self.base, F), "restriction not pure of full dimension")
                     )
                     continue
-                in_facets = Counter(f for g in facets for f in subfaces[g])
-                boundary: set[int] = set()
-                for f, n in in_facets.items():
-                    if n == 1:
-                        boundary.update(iter_submasks(f))
-                if preimage != set(masks) - boundary:
+                if F in not_interior:
                     hs = False
                     failures.append(
                         (face_name(self.base, F), "carrier preimage is not the interior")
                     )
             else:
+                masks = [E for c in iter_submasks(F) for E in by_carrier[c]]
+                K_F = SimplicialComplex(self.total.labels, masks)
+                preimage = set(by_carrier[F])
+                card = F.bit_count()
                 hc = classify(K_F, spec)
                 if not hc.is_ball or hc.dimension != card - 1:
                     hs = False
@@ -334,13 +341,13 @@ class SubdivisionMap:
                     )
                     break
 
-            if not K_F.is_flag():
+            if F in not_flag:
                 fl = False
                 failures.append(
                     (face_name(self.base, F), "restriction is not flag")
                 )
 
-        witness = self.quasi_geometric_witness()
+        witness = _quasi_geometric_witness(unions)
         if witness is not None:
             failures.append(
                 (
@@ -359,14 +366,105 @@ class SubdivisionMap:
         (a face of its carrier), so such a witness exists iff the union
         is smaller than the face.
         """
-        return next(
-            (
-                E
-                for E, u in self._vertex_carrier_unions().items()
-                if u.bit_count() < E.bit_count()
-            ),
-            None,
-        )
+        return _quasi_geometric_witness(self._vertex_carrier_unions())
+
+    def _restriction_defects(
+        self, loose: list[tuple[int, int, int]]
+    ) -> tuple[set[int], set[int], set[int]]:
+        """The base faces F whose restriction Δ_F = {E : s(E) ⊆ F} is not
+        pure of dimension |F| - 1; those whose carrier preimage is not
+        the interior of Δ_F by the unique-facet boundary rule (meaningful
+        where Δ_F is pure); and those where Δ_F is not flag.  All three
+        are read from one pass over the total, with no Δ_F built.
+
+        Let S(E) be the carriers of the cofacets of a total face E.  As
+        Δ_F is downward closed, E is a facet of Δ_F iff s(E) ⊆ F and no
+        t in S(E) lies in F; Δ_F is impure iff such an E has fewer than
+        |F| vertices.  A ridge R of a pure Δ_F with s(R) = F lies in as
+        many facets as F occurs in S(R).  So the preimage of F is the
+        interior iff no such ridge lies in exactly one facet, and every
+        maximal face of {E : s(E) ⊊ F} (no t in S(E) lies strictly
+        inside F) is a ridge with F exactly once in S(E).
+
+        A face E with s(E) in S(E) is maximal in no Δ_F and in no
+        {s ⊊ F}.  A face with |E| = |s(E)| in whose S(E) every base
+        cofacet of s(E) occurs exactly once is maximal only as a
+        full-size facet of Δ_{s(E)} and as a one-facet ridge under each
+        cofacet, which the rules allow.  On a valid map every face is of
+        one of these two kinds, so only the other faces are walked over
+        the base faces through their carriers.
+
+        Δ_F is not flag iff it has a minimal non-face N with |N| >= 3.
+        Every N - v is then a total face carried into F, so u(N), the
+        union of the carriers of the N - v, lies in F; and N is either
+        a minimal non-face of the total or a total face with s(N) not
+        inside F.  Conversely each such N is a witness.
+        """
+        carrier = self.carrier
+        base_faces = self.base.faces()
+        cofacet_carriers: dict[int, list[int]] = {E: [] for E in carrier}
+        for G, c in carrier.items():
+            rest = G
+            while rest:
+                low = rest & -rest
+                cofacet_carriers[G ^ low].append(c)
+                rest ^= low
+
+        def facet_carriers(N: int) -> int:
+            u = 0
+            for b in iter_bits(N):
+                u |= carrier[N ^ (1 << b)]
+            return u
+
+        # A total face N is carried beyond u(N) only if it is carried
+        # beyond the union of its vertex carriers, which u(N) contains.
+        witnesses = [(facet_carriers(N), c) for N, _, c in loose if N.bit_count() >= 3]
+        witnesses += [
+            (facet_carriers(N), None)
+            for N in self.total.minimal_non_faces()
+            if N.bit_count() >= 3
+        ]
+        base_cofacets: dict[int, int] = {F: 0 for F in base_faces}
+        for F in base_faces:
+            rest = F
+            while rest:
+                low = rest & -rest
+                base_cofacets[F ^ low] += 1
+                rest ^= low
+
+        impure: set[int] = set()
+        not_interior: set[int] = set()
+        for E, c in carrier.items():
+            ups = cofacet_carriers[E]
+            k = E.bit_count()
+            width = c.bit_count()
+            if width == k + 1 and ups.count(c) == 1:
+                not_interior.add(c)
+            if c in ups:
+                continue
+            if width == k:
+                next_up = [t for t in ups if t.bit_count() == k + 1]
+                if len(next_up) == base_cofacets[c] == len(set(next_up)):
+                    continue
+            for F in base_faces:
+                if F & c != c:
+                    continue
+                inside = [t for t in ups if t & F == t]
+                if not inside and k < F.bit_count():
+                    impure.add(F)
+                if (
+                    F != c
+                    and all(t == F for t in inside)
+                    and not (len(inside) == 1 and k + 1 == F.bit_count())
+                ):
+                    not_interior.add(F)
+        not_flag = {
+            F
+            for u, c in witnesses
+            for F in base_faces
+            if u & F == u and (c is None or c & F != c)
+        }
+        return impure, not_interior, not_flag
 
     def _vertex_carrier_unions(self) -> dict[int, int]:
         """The union of the vertex carriers of every total face, in face

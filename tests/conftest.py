@@ -5,11 +5,14 @@ combinatorial criteria the library implements via shortcuts."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import sympy
 from sympy import GF, QQ, Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from flagsub.complexes import SimplicialComplex, iter_bits, iter_submasks
+from flagsub.homology import GF2, classify, interior_faces
 from flagsub.subdivisions import SubdivisionMap
 
 x = symbols("x")
@@ -177,3 +180,103 @@ def brute_downward_closed(K: SimplicialComplex) -> bool:
     return all(
         all(f & ~(1 << b) in faces for b in iter_bits(f)) for f in faces
     )
+
+
+def _literal_verdict(s: SubdivisionMap, fast: bool) -> dict:
+    """The `validate` verdict by its per-restriction rules: every
+    restriction is built as a complex and tested on its own."""
+    failures: list[list[str]] = []
+    hs = vi = fl = True
+
+    def name(K: SimplicialComplex, m: int) -> str:
+        return ",".join(K.names(m)) if m else "()"
+
+    for F in s.base.faces():
+        if F == 0:
+            continue
+        where = name(s.base, F)
+        K_F = SimplicialComplex(
+            s.total.labels, [E for E, c in s.carrier.items() if c & F == c]
+        )
+        preimage = {E for E, c in s.carrier.items() if c == F}
+        card = F.bit_count()
+        if fast:
+            if any(g.bit_count() != card for g in K_F.facets):
+                hs = False
+                failures.append([where, "restriction not pure of full dimension"])
+                continue
+            in_facets = Counter(g ^ (1 << b) for g in K_F.facets for b in iter_bits(g))
+            boundary = {
+                f for r, n in in_facets.items() if n == 1 for f in iter_submasks(r)
+            }
+            if preimage != K_F.face_set - boundary:
+                hs = False
+                failures.append([where, "carrier preimage is not the interior"])
+        else:
+            hc = classify(K_F, GF2)
+            if not hc.is_ball or hc.dimension != card - 1:
+                hs = False
+                failures.append(
+                    [
+                        where,
+                        f"restriction classifies as {hc.kind}({hc.dimension}),"
+                        f" expected ball({card - 1})",
+                    ]
+                )
+            elif preimage != interior_faces(K_F, hc):
+                hs = False
+                failures.append([where, "carrier preimage is not the interior"])
+        # Vertex-induced: every total face on vertices of the
+        # restriction lies in it.
+        V = K_F.vertex_support
+        for E in s.total.faces():
+            if E & V == E and E not in K_F.face_set:
+                vi = False
+                failures.append(
+                    [
+                        name(s.total, E),
+                        f"induced by vertices of the restriction to {where}"
+                        " but not carried into it",
+                    ]
+                )
+                break
+        if not K_F.is_flag():
+            fl = False
+            failures.append([where, "restriction is not flag"])
+
+    qg = True
+    for E in s.total.faces():
+        union = 0
+        for b in iter_bits(E):
+            union |= s.carrier[1 << b]
+        if any(
+            G.bit_count() < E.bit_count() and union & G == union
+            for G in s.base.faces()
+        ):
+            qg = False
+            failures.append(
+                [
+                    name(s.total, E),
+                    "vertex carriers fit inside a lower-dimensional base face",
+                ]
+            )
+            break
+    return {
+        "homology_subdivision": hs,
+        "quasi_geometric": qg,
+        "vertex_induced": vi,
+        "flag_subdivision": fl,
+        "failures": failures,
+    }
+
+
+def literal_fast_verdict(s: SubdivisionMap) -> dict:
+    """``validate(fast=True).to_dict()`` by the per-restriction rules:
+    each restriction Δ_F is built, tested for purity, and its interior
+    is its faces minus the closure of the ridges in exactly one facet."""
+    return _literal_verdict(s, fast=True)
+
+
+def literal_full_verdict(s: SubdivisionMap) -> dict:
+    """``validate().to_dict()`` over GF(2) by the per-restriction rules."""
+    return _literal_verdict(s, fast=False)

@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagsub.cli import main
+from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.harness import GeneratorSpec, random_flag_sphere
-from flagsub.serialize import complex_from_doc, subdivision_from_doc
+from flagsub.serialize import complex_from_doc, subdivision_from_doc, subdivision_to_doc
 
 HEX = {
     "labels": ["a", "b", "c", "d", "e", "f"],
@@ -216,8 +218,10 @@ def test_reader_closing_early_exits_0_without_traceback():
 
 
 def test_generate_size_guard(capsys):
-    code, _ = run(capsys, "generate", "--dim", "15", "--steps", "0", "--seed", "0")
-    assert code == 3
+    # 3**12 faces exceed the default cap of 2**18: refused before building.
+    for dim in ("12", "15"):
+        code, _ = run(capsys, "generate", "--dim", dim, "--steps", "0", "--seed", "0")
+        assert code == 3
 
 
 def test_suite_exit_codes_and_tsv(capsys, tmp_path):
@@ -295,3 +299,93 @@ def test_fixture_names_are_wired(capsys):
         code, doc = run(capsys, "fixture", name)
         assert code == 0
         assert {"base", "total", "carrier"} <= doc.keys()
+
+
+# -- fuzzing the readers ---------------------------------------------------
+
+WRONG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=2),
+    st.lists(st.lists(st.integers(min_value=0, max_value=2), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _paths(doc, prefix=()):
+    """Every (container path, key or index) inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid complex or subdivision document with one to three
+    mutations: a dropped key or entry, a value of the wrong type, an
+    unknown vertex name, or a mangled carrier key."""
+    fixture = subdivision_to_doc(example_complexes(draw(st.sampled_from(FIXTURE_NAMES))))
+    doc = draw(st.sampled_from([HEX, fixture["total"], fixture, fixture]))
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        op = draw(st.sampled_from(["drop", "retype", "unknown-name", "mangle-key"]))
+        paths = list(_paths(doc))
+        if op == "mangle-key" and isinstance(doc.get("carrier"), dict) and doc["carrier"]:
+            carrier = doc["carrier"]
+            key = draw(st.sampled_from(sorted(carrier)))
+            names = key.split(",")
+            new = draw(
+                st.sampled_from(
+                    [
+                        ",".join(reversed(names)),
+                        key + "," + names[0],
+                        key + ",",
+                        "",
+                        key + ",zz",
+                        key.replace(",", ";"),
+                    ]
+                )
+            )
+            carrier[new] = carrier.pop(key)
+        elif not paths:
+            break
+        else:
+            path, key = draw(st.sampled_from(paths))
+            parent = _at(doc, path)
+            if op == "drop":
+                del parent[key]
+            elif op == "retype":
+                parent[key] = draw(WRONG_VALUES)
+            elif isinstance(parent[key], str):
+                parent[key] = draw(st.sampled_from(["zz", "", "a,b", parent[key] + "'"]))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_documents())
+def test_readers_survive_malformed_documents(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["gamma", path],
+            ["hvec", path],
+            ["check-subdivision", path, "--fast"],
+            ["local-gamma", path],
+        ):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in err.getvalue()

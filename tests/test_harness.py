@@ -21,6 +21,7 @@ from flagsub.harness import (
 from flagsub.homology import classify
 from flagsub.polynomials import gamma_vector
 from flagsub.serialize import subdivision_to_doc
+from flagsub.subdivisions import SubdivisionMap
 
 
 def test_generator_spec_validation():
@@ -100,6 +101,14 @@ def test_size_guard_refuses_join_before_building_it(monkeypatch):
         random_flag_sphere(spec, max_faces=5000)
     assert sizes
     assert max(sizes) <= 5000
+
+
+def test_default_size_guard_refuses_runaway_joins():
+    # At 2**22 this trail ran for minutes and toward gigabytes; at the
+    # default cap it is refused after some seconds.
+    spec = GeneratorSpec(3, 75, 4, ("edge-subdivide", "join-with-S0"))
+    with pytest.raises(MalformedInstance):
+        random_flag_sphere(spec)
 
 
 def _doc_sha(s) -> str:
@@ -218,3 +227,22 @@ def test_suite_summary_and_digests():
     doc = reports[0].to_dict()
     assert doc["instance"] == "s0"
     assert set(doc) == {"instance", "checks", "timings_ms", "digests"}
+
+
+def test_digests_skip_only_library_errors(monkeypatch):
+    sphere = random_flag_sphere(GeneratorSpec(2, 1, seed=1))[0]
+    inst = Instance(
+        id="sphere-base",
+        complex=sphere,
+        subdivision=random_sphere_pair(2, 1, 1, seed=1),
+    )
+    digests = run_conjecture_suite([inst], set())[0].digests
+    assert set(digests) == {"gamma", "h"}
+
+    def broken(self):
+        raise TypeError("defect in local_h")
+
+    monkeypatch.setattr(SubdivisionMap, "local_h", broken)
+    inst.subdivision = random_simplex_subdivision(("a", "b", "c"), 1, 1)
+    with pytest.raises(TypeError):
+        run_conjecture_suite([inst], set())
