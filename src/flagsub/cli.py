@@ -22,7 +22,6 @@ from .constructions import (
 from .errors import FlagsubError, MalformedInstance
 from .harness import (
     CHECKS,
-    MAX_FACES,
     RNG_NAME,
     GeneratorSpec,
     Instance,
@@ -173,10 +172,6 @@ def _cmd_fixture(args) -> int:
 def _cmd_generate(args) -> int:
     moves = tuple(args.moves.split(","))
     spec = GeneratorSpec(args.dim, args.steps, args.seed, moves)
-    if not args.force and 3**args.dim > MAX_FACES:
-        raise MalformedInstance(
-            f"dim {args.dim} starts above the size guard; pass --force"
-        )
     K, trail = random_flag_sphere(spec)
     _emit(
         {
@@ -217,6 +212,8 @@ def _suite_instances(args) -> list[Instance]:
 
 def _cmd_suite(args) -> int:
     checks = set(args.checks.split(","))
+    if args.count < 0:
+        raise MalformedInstance("count must be >= 0")
     instances = _suite_instances(args)
     reports = run_conjecture_suite(instances, checks)
     doc = {
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--moves", default="edge-subdivide")
-    p.add_argument("--force", action="store_true", help="override size guard")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("suite", help="run checks over generated instances")

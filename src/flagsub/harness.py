@@ -61,19 +61,43 @@ class GeneratorSpec:
             raise MalformedInstance(f"unknown moves: {sorted(bad)}")
 
 
-def _random_edge_step(K: SimplicialComplex, rng: random.Random) -> SubdivisionMap:
-    at = card_offsets(K.faces(), 2)
-    edges = K.faces()[at[2] : at[3]]
-    if not edges:
-        raise MalformedInstance("complex has no edges to subdivide")
-    return edge_subdivision(K, edges[rng.randrange(len(edges))])
-
-
 def _size_guard(num_faces: int, max_faces: int) -> None:
     if num_faces > max_faces:
-        raise MalformedInstance(
-            f"instance exceeded {max_faces} faces; refuse to continue"
-        )
+        raise MalformedInstance(f"instance exceeded {max_faces} faces; refuse to continue")
+
+
+def _cross_polytope_trail(dimension: int, max_faces: int) -> SubdivisionMap:
+    # 3**dimension faces; past the cap's bit length 2**d alone exceeds it.
+    _size_guard(3 ** min(dimension, max_faces.bit_length()), max_faces)
+    return trivial_subdivision(cross_polytope(dimension))
+
+
+def _grow(
+    s: SubdivisionMap, steps: int, rng: random.Random, moves=None, max_faces=MAX_FACES
+) -> SubdivisionMap:
+    """``s`` composed with ``steps`` random moves on its total.  With
+    ``moves`` given, each step draws one, even from a single move; else
+    each step is an edge subdivision and draws only the edge."""
+    if steps < 0:
+        raise MalformedInstance("steps must be >= 0")
+    for _ in range(steps):
+        K = s.total
+        move = EDGE_SUBDIVIDE if moves is None else moves[rng.randrange(len(moves))]
+        if move == EDGE_SUBDIVIDE:
+            at = card_offsets(K.faces(), 2)
+            edges = K.faces()[at[2] : at[3]]
+            if not edges:
+                raise MalformedInstance("complex has no edges to subdivide")
+            s = compose(s, edge_subdivision(K, edges[rng.randrange(len(edges))]))
+        else:
+            # The join with a two-point sphere has exactly three times
+            # the faces, so refuse before building it.
+            _size_guard(3 * K.num_faces(), max_faces)
+            k = len(s.base.labels) // 2 + 1
+            s0 = from_facets((f"u{k}", f"v{k}"), [[f"u{k}"], [f"v{k}"]])
+            s = join_subdivision(s, trivial_subdivision(s0))
+        _size_guard(s.total.num_faces(), max_faces)
+    return s
 
 
 def random_flag_sphere(
@@ -88,43 +112,20 @@ def random_flag_sphere(
     flag-sphere class.  Identical specs yield identical outputs.
     """
     rng = random.Random(spec.seed)
-    K = cross_polytope(spec.dimension)
-    trail = trivial_subdivision(K)
-    for _ in range(spec.steps):
-        move = spec.moves[rng.randrange(len(spec.moves))]
-        if move == EDGE_SUBDIVIDE:
-            step = _random_edge_step(K, rng)
-            trail = compose(trail, step)
-        else:
-            # The join with a two-point sphere has exactly three times
-            # the faces, so refuse before building it.
-            _size_guard(3 * K.num_faces(), max_faces)
-            pair_index = len(trail.base.labels) // 2 + 1
-            s0 = from_facets(
-                (f"u{pair_index}", f"v{pair_index}"),
-                [[f"u{pair_index}"], [f"v{pair_index}"]],
-            )
-            trail = join_subdivision(trail, trivial_subdivision(s0))
-        K = trail.total
-        _size_guard(K.num_faces(), max_faces)
-    return K, trail
+    start = _cross_polytope_trail(spec.dimension, max_faces)
+    trail = _grow(start, spec.steps, rng, spec.moves, max_faces)
+    return trail.total, trail
 
 
 def random_simplex_subdivision(
-    vertices: tuple[str, ...], steps: int, seed: int, max_faces: int = MAX_FACES
+    vertices: tuple[str, ...], steps: int, seed: int
 ) -> SubdivisionMap:
     """Iterated random edge subdivisions of the trivial subdivision of a
     simplex.  Always geometric, hence flag, vertex-induced and
     quasi-geometric."""
     from .complexes import simplex
 
-    rng = random.Random(seed)
-    s = trivial_subdivision(simplex(vertices))
-    for _ in range(steps):
-        step = _random_edge_step(s.total, rng)
-        s = compose(s, step)
-        _size_guard(s.total.num_faces(), max_faces)
-    return s
+    return _grow(trivial_subdivision(simplex(vertices)), steps, random.Random(seed))
 
 
 def random_sphere_pair(
@@ -136,13 +137,8 @@ def random_sphere_pair(
     cross-polytope boundary; the total applies ``extra_steps`` more.
     """
     rng = random.Random(seed)
-    K = cross_polytope(dimension)
-    for _ in range(pre_steps):
-        K = _random_edge_step(K, rng).total
-    inner = trivial_subdivision(K)
-    for _ in range(extra_steps):
-        inner = compose(inner, _random_edge_step(inner.total, rng))
-    return inner
+    K = _grow(_cross_polytope_trail(dimension, MAX_FACES), pre_steps, rng).total
+    return _grow(trivial_subdivision(K), extra_steps, rng)
 
 
 # -- check suite -------------------------------------------------------------

@@ -5,9 +5,11 @@ to each of its faces a face of the base complex.  Carriers are stored
 explicitly on every face, because they are not determined by vertex
 carriers for maps that are not vertex-induced.  Structural invariants
 (totality, monotonicity, dimension growth, surjectivity, empty to
-empty) are enforced at construction; the homological axioms and the
-quasi-geometric / vertex-induced / flag hierarchy are checked by
-`SubdivisionMap.validate`.
+empty) are checked on maps built from outside data, and hold by
+construction on the maps that `stellar_subdivision`, `compose`,
+`join_subdivision` and `trivial_subdivision` derive from valid maps;
+the homological axioms and the quasi-geometric / vertex-induced / flag
+hierarchy are checked by `SubdivisionMap.validate`.
 
 Validation reads the restriction Δ_F = {E : s(E) ⊆ F} to each base
 face F from carriers alone.  A total face E is a facet of Δ_F exactly
@@ -202,6 +204,17 @@ class SubdivisionMap:
                 rest ^= low
         if len(set(self.carrier.values())) != len(base_faces):
             raise InvalidCarrier("carrier map is not surjective onto the base")
+
+    @classmethod
+    def _from_valid(
+        cls, total: SimplicialComplex, base: SimplicialComplex, carrier: dict[int, int]
+    ) -> "SubdivisionMap":
+        """A map taken as given, with ``carrier`` keyed in ``total.faces()``
+        order.  Only constructors that derive it from valid maps may call
+        this."""
+        self = cls.__new__(cls)
+        self.total, self.base, self.carrier = total, base, carrier
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubdivisionMap):
@@ -639,14 +652,14 @@ def compose(outer: SubdivisionMap, inner: SubdivisionMap) -> SubdivisionMap:
     if inner.base != outer.total:
         raise BaseMismatch("inner base must equal outer total")
     carrier = {E: outer.carrier[c] for E, c in inner.carrier.items()}
-    return SubdivisionMap(inner.total, outer.base, carrier)
+    return SubdivisionMap._from_valid(inner.total, outer.base, carrier)
 
 
 # -- constructors ----------------------------------------------------------
 
 
 def trivial_subdivision(K: SimplicialComplex) -> SubdivisionMap:
-    return SubdivisionMap(K, K, {E: E for E in K.faces()})
+    return SubdivisionMap._from_valid(K, K, {E: E for E in K.faces()})
 
 
 def barycenter_name(names: tuple[str, ...]) -> str:
@@ -693,9 +706,8 @@ def stellar_subdivision(
         for b in iter_bits(face)
     ]
     total = SimplicialComplex._from_ordered(K.labels + (new_vertex,), facets, faces)
-    carrier = dict(zip(outside, outside))
-    carrier.update((v_bit | H, H | face) for H in rim)
-    return SubdivisionMap(total, K, carrier)
+    carrier = {G: (G ^ v_bit) | face if G & v_bit else G for G in faces}
+    return SubdivisionMap._from_valid(total, K, carrier)
 
 
 def edge_subdivision(
@@ -714,16 +726,10 @@ def barycentric_subdivision(names) -> SubdivisionMap:
     names = tuple(names)
     base = simplex(names)
     s = trivial_subdivision(base)
-    d = len(names)
-    full = (1 << d) - 1
-    by_card: dict[int, list[int]] = {}
-    for m in iter_submasks(full):
-        by_card.setdefault(m.bit_count(), []).append(m)
-    for card in range(d, 1, -1):
-        # faces of the original simplex survive top-down subdivision
-        for F in sorted(by_card[card]):
-            step = stellar_subdivision(s.total, F, barycenter_name(base.names(F)))
-            s = compose(s, step)
+    # Faces of the original simplex survive top-down subdivision.  The
+    # empty face and the vertices lead base.faces() and are not split.
+    for F in sorted(base.faces()[len(names) + 1 :], key=lambda m: (-m.bit_count(), m)):
+        s = compose(s, stellar_subdivision(s.total, F, barycenter_name(base.names(F))))
     return s
 
 
@@ -732,12 +738,11 @@ def join_subdivision(s1: SubdivisionMap, s2: SubdivisionMap) -> SubdivisionMap:
     total = s1.total.join(s2.total)
     base = s1.base.join(s2.base)
     ts = len(s1.total.labels)
+    low = (1 << ts) - 1
     bs = len(s1.base.labels)
-    carrier = {}
-    for E1, c1 in s1.carrier.items():
-        for E2, c2 in s2.carrier.items():
-            carrier[E1 | (E2 << ts)] = c1 | (c2 << bs)
-    return SubdivisionMap(total, base, carrier)
+    c1, c2 = s1.carrier, s2.carrier
+    carrier = {E: c1[E & low] | (c2[E >> ts] << bs) for E in total.faces()}
+    return SubdivisionMap._from_valid(total, base, carrier)
 
 
 def link_subdivision(s: SubdivisionMap, names) -> SubdivisionMap:

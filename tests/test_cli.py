@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flagsub import harness
 from flagsub.cli import main
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.harness import GeneratorSpec, random_flag_sphere
@@ -220,8 +221,30 @@ def test_reader_closing_early_exits_0_without_traceback():
 def test_generate_size_guard(capsys):
     # 3**12 faces exceed the default cap of 2**18: refused before building.
     for dim in ("12", "15"):
-        code, _ = run(capsys, "generate", "--dim", dim, "--steps", "0", "--seed", "0")
+        for steps in ("0", "1"):
+            code, _ = run(capsys, "generate", "--dim", dim, "--steps", steps)
+            assert code == 3
+
+
+def test_suite_size_guard_refuses_before_building(capsys, monkeypatch):
+    # Without the guard this built 531,441-face instances and exited 0.
+    def refuse(d):
+        raise AssertionError(f"built a cross-polytope of dimension {d}")
+
+    monkeypatch.setattr(harness, "cross_polytope", refuse)
+    code, out = run(capsys, "suite", "--dim", "12", "--count", "1", "--checks", "gal")
+    assert code == 3
+    assert out == ""
+
+
+def test_negative_sizes_exit_3(capsys):
+    for argv in (
+        ("generate", "--dim", "2", "--steps", "-4"),
+        ("suite", "--checks", "gal", "--count", "-2"),
+    ):
+        code, out = run(capsys, *argv)
         assert code == 3
+        assert out == ""
 
 
 def test_suite_exit_codes_and_tsv(capsys, tmp_path):

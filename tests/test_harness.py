@@ -111,6 +111,30 @@ def test_default_size_guard_refuses_runaway_joins():
         random_flag_sphere(spec)
 
 
+def _refuse_to_build(d):
+    raise AssertionError(f"built a cross-polytope of dimension {d}")
+
+
+def test_start_above_the_cap_is_refused_before_building_it(monkeypatch):
+    # 3**12 faces exceed the cap of 2**18; 3**(10**9) is never computed.
+    monkeypatch.setattr(harness, "cross_polytope", _refuse_to_build)
+    for dim in (12, 10**9):
+        with pytest.raises(MalformedInstance):
+            random_flag_sphere(GeneratorSpec(dim, 0, seed=0))
+        with pytest.raises(MalformedInstance):
+            random_sphere_pair(dim, 0, 1, seed=0)
+
+
+def test_negative_steps_are_refused():
+    with pytest.raises(MalformedInstance):
+        random_flag_sphere(GeneratorSpec(2, -4, seed=0))
+    with pytest.raises(MalformedInstance):
+        random_simplex_subdivision(("a", "b"), -1, 0)
+    for pre, extra in ((-1, 1), (1, -1)):
+        with pytest.raises(MalformedInstance):
+            random_sphere_pair(2, pre, extra, seed=0)
+
+
 def _doc_sha(s) -> str:
     text = json.dumps(subdivision_to_doc(s), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()

@@ -1,8 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagsub.complexes import SimplicialComplex, cross_polytope, from_facets, simplex
+from flagsub.complexes import (
+    SimplicialComplex,
+    cross_polytope,
+    cross_polytope_on,
+    from_facets,
+    simplex,
+)
+from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.errors import (
     BaseMismatch,
     BaseNotSimplex,
@@ -658,3 +667,45 @@ def test_locality_sides_match_literal_sums():
         assert poly_coeffs(chk.lhs) == sympy_local_h(compose(outer, inner))
         assert poly_coeffs(chk.rhs) == dense_coeffs(rhs, d)
         assert chk.ok
+
+
+
+def derived_maps(rng: random.Random) -> list[SubdivisionMap]:
+    """Maps built by the constructors that skip the structural check:
+    trivial maps, stellar moves on faces of any dimension, their
+    composites along a chain, and joins of two chains on disjoint
+    labels.  The first chain may start from a checked fixture."""
+
+    def chain(prefix: str, start: SubdivisionMap) -> list[SubdivisionMap]:
+        s, out = start, [start]
+        for i in range(rng.randint(0, 3)):
+            step = stellar_subdivision(
+                s.total, rng.choice(s.total.faces()[1:]), f"{prefix}n{i}"
+            )
+            s = compose(s, step)
+            out += [step, s]
+        return out
+
+    def start(prefix: str) -> SubdivisionMap:
+        d = rng.randint(1, 3)
+        if rng.randrange(2):
+            return trivial_subdivision(simplex([prefix + x for x in letters(d + 1)]))
+        u = [f"{prefix}u{i}" for i in range(d)]
+        v = [f"{prefix}v{i}" for i in range(d)]
+        return trivial_subdivision(cross_polytope_on(u, v))
+
+    if rng.randrange(3):
+        maps = chain("", start(""))
+    else:
+        maps = chain("", example_complexes(rng.choice(FIXTURE_NAMES)))
+    if rng.randrange(2):
+        maps += chain("j", join_subdivision(maps[-1], chain("z", start("z"))[-1]))
+    return maps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_trusted_constructors_agree_with_the_checked_one(seed):
+    for m in derived_maps(random.Random(seed)):
+        assert SubdivisionMap(m.total, m.base, m.carrier) == m
+        assert list(m.carrier) == list(m.total.faces())
