@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -25,6 +26,7 @@ from .harness import (
     RNG_NAME,
     GeneratorSpec,
     Instance,
+    check_names,
     has_theorem_failure,
     random_flag_sphere,
     random_simplex_subdivision,
@@ -32,7 +34,7 @@ from .harness import (
     run_conjecture_suite,
     summarize,
 )
-from .homology import GF2, QQ, FieldSpec, classify
+from .homology import QQ, FieldSpec, classify
 from .polynomials import SymmetryFailure, gamma_vector, h_polynomial
 from .serialize import (
     complex_from_doc,
@@ -61,13 +63,15 @@ def _emit(doc) -> None:
 
 
 def _field(name: str) -> FieldSpec:
-    if name == "gf2":
-        return GF2
     if name == "q":
         return QQ
-    if name.startswith("gf"):
-        return FieldSpec.gf(int(name[2:]))
-    raise MalformedInstance(f"unknown field {name!r} (use gf2, gfP or q)")
+    m = re.fullmatch(r"gf([0-9]+)", name)
+    if m is None:
+        raise MalformedInstance(f"unknown field {name!r} (use gf2, gfP or q)")
+    try:
+        return FieldSpec.gf(int(m[1]))
+    except ValueError as exc:
+        raise MalformedInstance(f"unknown field {name!r}: {exc}") from None
 
 
 def _cmd_hvec(args) -> int:
@@ -211,7 +215,7 @@ def _suite_instances(args) -> list[Instance]:
 
 
 def _cmd_suite(args) -> int:
-    checks = set(args.checks.split(","))
+    checks = check_names(args.checks.split(","))
     if args.count < 0:
         raise MalformedInstance("count must be >= 0")
     instances = _suite_instances(args)
@@ -240,8 +244,17 @@ def _cmd_suite(args) -> int:
     return 2 if has_theorem_failure(reports) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input and exit 3; plain argparse
+    exits 2, the code of a theorem-tier failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagsub",
         description="Face enumeration and subdivision invariants of "
         "simplicial complexes, with exact arithmetic.",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .complexes import SimplicialComplex, card_offsets, cross_polytope, from_facets
 from .errors import FlagsubError, MalformedInstance
@@ -340,10 +341,9 @@ def _check_xi_formulas(inst: Instance) -> CheckResult:
 def _check_field_agreement(inst: Instance) -> CheckResult:
     if inst.complex is None:
         return CheckResult("skipped")
-    from .homology import GF2, QQ, classify
+    from .homology import _classify_gf2_and_q
 
-    over_gf2 = classify(inst.complex, GF2)
-    over_q = classify(inst.complex, QQ)
+    over_gf2, over_q = _classify_gf2_and_q(inst.complex)
     if (over_gf2.kind, over_gf2.dimension) == (over_q.kind, over_q.dimension):
         return CheckResult("pass")
     return CheckResult(
@@ -411,6 +411,16 @@ def _digests(inst: Instance) -> dict[str, list[int]]:
     return out
 
 
+def check_names(names: Iterable[str]) -> set[str]:
+    """The set of check names, refused with `MalformedInstance` if any
+    is not in `CHECKS`."""
+    checks = set(names)
+    unknown = checks - CHECKS.keys()
+    if unknown:
+        raise MalformedInstance(f"unknown checks: {sorted(unknown)}")
+    return checks
+
+
 def run_conjecture_suite(
     instances: list[Instance], checks: set[str]
 ) -> list[ConjectureReport]:
@@ -420,9 +430,7 @@ def run_conjecture_suite(
     `has_theorem_failure` to decide whether a run uncovered an
     implementation defect.
     """
-    unknown = checks - CHECKS.keys()
-    if unknown:
-        raise MalformedInstance(f"unknown checks: {sorted(unknown)}")
+    checks = check_names(checks)
     reports = []
     for inst in instances:
         rep = ConjectureReport(instance=inst.id)

@@ -5,12 +5,24 @@ columns over GF(2), and one sparse integer column eliminator for GF(p),
 p > 2, and for Q (after Dumas, Heckenbach, Saunders and Welker, 2003),
 with no fractions and no tolerances.  ``classify`` takes every face
 link from one pass over the faces.
+
+Over Q, ``classify`` ranks every link over GF(2) first.  An integer
+matrix has rank over GF(2) at most its rank over Q, so each reduced
+Betti number over Q is at most the one over GF(2), and the reduced
+Euler characteristic is the same over both fields.  A GF(2) Betti
+vector that is nonzero in at most one degree is therefore the Q vector
+too (universal coefficients; Munkres, *Elements of Algebraic Topology*,
+§§53-56), and the sparse Q eliminator runs only on the other links,
+where torsion is possible.  The bound runs one way only: GF(p) for odd
+p has no rank order against GF(2) (the projective plane has homology
+over GF(2) and none over GF(3)), so there every link is ranked directly.
+``reduced_betti`` always ranks over the field it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable
 
 from .complexes import SimplicialComplex, from_faces, iter_bits, link_table
@@ -27,22 +39,33 @@ __all__ = [
 ]
 
 
+#: Largest characteristic `FieldSpec` accepts.  Primality is settled by
+#: trial division up to the square root, a few milliseconds at this
+#: bound; larger primes are refused.
+MAX_CHAR = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: GF(p) for prime p, or the rationals (char 0)."""
+    """Coefficient field: GF(p) for prime p <= `MAX_CHAR`, or the
+    rationals (char 0)."""
 
     char: int
 
     def __post_init__(self):
         if self.char == 0:
             return
+        if self.char > MAX_CHAR:
+            raise ValueError(f"{self.char} is above the limit {MAX_CHAR}")
         if self.char < 2 or any(
-            self.char % q == 0 for q in range(2, int(self.char**0.5) + 1)
+            self.char % q == 0 for q in range(2, isqrt(self.char) + 1)
         ):
             raise ValueError(f"{self.char} is not prime")
 
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":
+        if p == 0:
+            raise ValueError("0 is not prime")
         return cls(p)
 
     @classmethod
@@ -207,9 +230,21 @@ class HomologyClass:
         return self.kind == "ball"
 
 
-def _link_betti(K: SimplicialComplex, spec: FieldSpec) -> dict[int, BettiVector]:
-    """Betti vector of every face link, read from one `link_table`."""
-    return {f: _betti_of_faces(faces, spec) for f, faces in link_table(K).items()}
+def _link_betti(table: dict[int, list[int]], spec: FieldSpec) -> dict[int, BettiVector]:
+    """Betti vector over ``spec`` of every link in a `link_table`."""
+    return {f: _betti_of_faces(faces, spec) for f, faces in table.items()}
+
+
+def _q_from_gf2(
+    table: dict[int, list[int]], gf2: dict[int, BettiVector]
+) -> dict[int, BettiVector]:
+    """Q Betti vectors of the links in ``table`` from their GF(2) ones
+    ``gf2``: a vector nonzero in at most one degree holds over Q as it
+    stands, and only the other links are ranked over Q."""
+    return {
+        f: b if sum(1 for v in b.values if v) <= 1 else _betti_of_faces(table[f], QQ)
+        for f, b in gf2.items()
+    }
 
 
 def classify(
@@ -225,16 +260,45 @@ def classify(
     is a sphere one dimension down, boundary-face links are acyclic and
     interior-face links are concentrated in top dimension.  A sphere or
     ball verdict additionally requires all facets to share a dimension.
+
+    Over Q the link Betti vectors come from one GF(2) pass, and only
+    links whose GF(2) vector is nonzero in more than one degree are
+    ranked over Q (see the module docstring); the result equals ranking
+    every link over Q.  This holds in characteristic 0 only, so GF(p)
+    for odd p ranks every link over GF(p).
     """
+    table = link_table(K)
+    if spec.char == 0:
+        links = _q_from_gf2(table, _link_betti(table, GF2))
+    else:
+        links = _link_betti(table, spec)
+    return _verdict(K, links, spec, with_evidence)
+
+
+def _classify_gf2_and_q(K: SimplicialComplex) -> tuple[HomologyClass, HomologyClass]:
+    """``classify(K, GF2)`` and ``classify(K, QQ)`` from one GF(2) pass
+    over the links."""
+    table = link_table(K)
+    gf2 = _link_betti(table, GF2)
+    return (
+        _verdict(K, gf2, GF2, False),
+        _verdict(K, _q_from_gf2(table, gf2), QQ, False),
+    )
+
+
+def _verdict(
+    K: SimplicialComplex,
+    links: dict[int, BettiVector],
+    spec: FieldSpec,
+    with_evidence: bool,
+) -> HomologyClass:
+    """The `classify` verdict from the Betti vector over ``spec`` of
+    every face link of ``K``."""
     dim = K.dim
-    if dim == -1:
-        # The one-face complex: concentrated in dimension -1.
-        return HomologyClass("sphere", -1, reduced_betti(K, spec))
-    if not K.is_pure():
-        return HomologyClass("other", dim, reduced_betti(K, spec))
-    links = _link_betti(K, spec)
     betti_self = links[0]  # the link of the empty face is K itself
     evidence = links if with_evidence else None
+    if not K.is_pure():
+        return HomologyClass("other", dim, betti_self, evidence=evidence)
 
     if all(
         b.is_concentrated(dim - f.bit_count()) for f, b in links.items()

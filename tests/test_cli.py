@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagsub import harness
+from flagsub import cli, harness
 from flagsub.cli import main
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.harness import GeneratorSpec, random_flag_sphere
@@ -247,6 +247,56 @@ def test_negative_sizes_exit_3(capsys):
         assert out == ""
 
 
+def test_usage_errors_exit_3(capsys):
+    # argparse exits 2, the code of a theorem-tier failure, on its own.
+    for argv in (
+        ["suite", "--checks", "gal", "--dim", "abc"],
+        ["nosuch"],
+        ["generate", "--dim", "2", "--force"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: flagsub")
+        assert "error:" in captured.err
+    for argv in (["--help"], ["suite", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        assert capsys.readouterr().out
+
+
+def test_unknown_checks_are_refused_before_generating(capsys, monkeypatch):
+    def refuse(args):
+        raise AssertionError("generated instances for a refused check")
+
+    monkeypatch.setattr(cli, "_suite_instances", refuse)
+    argv = ["suite", "--checks", "gal,nope", "--dim", "6", "--count", "300"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown checks: ['nope']\n"
+
+
+#: ``--field`` values that are not a field this package computes over.
+BAD_FIELDS = ["gf4", "gfabc", "gf-3", "gf0", "gf1", "X", "gf", "GF2",
+              "gf1000000000000000000000000000057", "gf2147483648"]
+
+
+def test_malformed_field_exits_3(capsys, hex_path):
+    for name in BAD_FIELDS:
+        assert main(["classify", hex_path, "--field", name]) == 3, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown field {name!r}")
+    for name in ("gf2", "gf3", "gf2147483647", "q"):
+        code, doc = run(capsys, "classify", hex_path, "--field", name)
+        assert code == 0 and doc["verdict"] == "sphere"
+
+
 def test_suite_exit_codes_and_tsv(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -395,8 +445,8 @@ def malformed_documents(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(malformed_documents())
-def test_readers_survive_malformed_documents(doc):
+@given(malformed_documents(), st.sampled_from(BAD_FIELDS + ["gf2", "gf5", "q"]))
+def test_readers_survive_malformed_documents(doc, field):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w") as fh:
@@ -404,7 +454,8 @@ def test_readers_survive_malformed_documents(doc):
         for argv in (
             ["gamma", path],
             ["hvec", path],
-            ["check-subdivision", path, "--fast"],
+            ["check-subdivision", path, "--fast", "--field", field],
+            ["classify", path, "--field", field],
             ["local-gamma", path],
         ):
             err = io.StringIO()

@@ -1,17 +1,25 @@
+import argparse
 import random
 
 import pytest
 
+from flagsub import homology
+from flagsub.cli import _suite_instances
 from flagsub.complexes import (
     cross_polytope,
     from_facets,
+    link_table,
     simplex,
     sphere_zero,
 )
+from flagsub.constructions import FIXTURE_NAMES, example_complexes
+from flagsub.harness import CheckResult, Instance, _check_field_agreement
 from flagsub.homology import (
     GF2,
+    MAX_CHAR,
     QQ,
     FieldSpec,
+    _betti_of_faces,
     _rank,
     classify,
     interior_faces,
@@ -26,8 +34,10 @@ def test_field_spec():
     assert str(GF2) == "GF(2)"
     assert str(QQ) == "Q"
     assert str(FieldSpec.gf(5)) == "GF(5)"
-    with pytest.raises(ValueError):
-        FieldSpec.gf(6)
+    for p in (6, 0, 1, -3, MAX_CHAR + 1, 10**40 + 57):
+        with pytest.raises(ValueError):
+            FieldSpec.gf(p)
+    assert FieldSpec.gf(MAX_CHAR).char == 2**31 - 1
 
 
 def test_octahedron_betti():
@@ -96,13 +106,18 @@ def test_link_evidence_matches_sympy_oracle():
                 assert list(b.values) == sympy_reduced_betti(K.link(f), spec.char)
 
 
-def test_projective_plane_distinguishes_fields():
-    # six-vertex triangulation: GF(2) sees homology, Q and GF(3) do not
+def projective_plane():
+    """The six-vertex real projective plane: GF(2) sees homology, Q and
+    GF(3) do not."""
     facets = [
         [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
         [2, 3, 5], [2, 3, 6], [2, 4, 6], [3, 4, 5], [4, 5, 6],
     ]
-    K = from_facets([str(i) for i in range(1, 7)], [[str(v) for v in f] for f in facets])
+    return from_facets([str(i) for i in range(1, 7)], [[str(v) for v in f] for f in facets])
+
+
+def test_projective_plane_distinguishes_fields():
+    K = projective_plane()
     assert reduced_betti(K, GF2).values == (0, 0, 1, 1)
     assert reduced_betti(K, QQ).values == (0, 0, 0, 0)
     assert reduced_betti(K, FieldSpec.gf(3)).values == (0, 0, 0, 0)
@@ -215,3 +230,109 @@ def test_ball_reciprocity():
     hc = classify(K)
     h = h_polynomial(K)
     assert h.reflect(4) == interior_h_polynomial(K, interior_faces(K, hc))
+
+
+# -- Q verdicts from the GF(2) pass ----------------------------------------
+
+
+def _rank_every_link_over_q(table, gf2):
+    return {f: _betti_of_faces(faces, QQ) for f, faces in table.items()}
+
+
+def _direct_q(K):
+    """The oracle: `classify(K, QQ)` with every link, the recursive
+    boundary call's included, ranked by the Q eliminator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_q_from_gf2", _rank_every_link_over_q)
+        return classify(K, QQ, with_evidence=True)
+
+
+def _as_data(hc):
+    # Equality leaves out the evidence; the repr holds it, in face order.
+    return hc, repr(hc)
+
+
+def _suite_corpus():
+    out = []
+    for dim in (3, 4):
+        args = argparse.Namespace(count=8, dim=dim, seed=0)
+        out += _suite_instances(args)
+    return out
+
+
+def _torsion_set():
+    rp2 = projective_plane()
+    return [rp2, rp2.join(sphere_zero("n", "s")), rp2.cone("apex")]
+
+
+def test_q_verdicts_equal_the_direct_q_path():
+    complexes = []
+    for inst in _suite_corpus():
+        complexes += [inst.complex, inst.subdivision.total, inst.pair.total]
+    for name in FIXTURE_NAMES:
+        s = example_complexes(name)
+        complexes.append(s.total)
+        complexes += [s.restriction(F).total for F in s.base.faces() if F]
+    complexes += _torsion_set()
+    kinds = set()
+    for K in complexes:
+        got = classify(K, QQ, with_evidence=True)
+        assert _as_data(got) == _as_data(_direct_q(K))
+        assert list(got.evidence) == list(K.faces())
+        kinds.add(got.kind)
+    assert kinds == {"sphere", "ball", "other"}
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(homology, name)
+
+    def spy(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(homology, name, spy)
+    return calls
+
+
+def test_q_eliminator_runs_only_where_torsion_is_possible(monkeypatch):
+    calls = _spy(monkeypatch, "_rank")
+    assert classify(cross_polytope(4), QQ).is_sphere
+    assert calls == []
+    rp2 = projective_plane()
+    hc = classify(rp2, QQ, with_evidence=True)
+    assert calls and all(p == (0,) for p in calls)
+    assert hc.kind == "other"
+    assert hc.betti.values == (0, 0, 0, 0)
+    # Only the whole plane has GF(2) homology in two degrees; every
+    # vertex and edge link is a circle or two points.
+    assert reduced_betti(rp2, GF2).values == (0, 0, 1, 1)
+    assert all(
+        b.is_concentrated(2 - f.bit_count()) for f, b in hc.evidence.items() if f
+    )
+
+
+def test_odd_characteristic_never_ranks_over_gf2(monkeypatch):
+    calls = _spy(monkeypatch, "_rank_gf2")
+    gf3 = FieldSpec.gf(3)
+    assert classify(cross_polytope(3), gf3).is_sphere
+    hc = classify(projective_plane(), gf3)
+    assert hc.kind == "other" and hc.betti.values == (0, 0, 0, 0)
+    assert calls == []
+
+
+def test_field_agreement_is_unchanged():
+    def direct(K):
+        over_gf2, over_q = classify(K, GF2), _direct_q(K)
+        if (over_gf2.kind, over_gf2.dimension) == (over_q.kind, over_q.dimension):
+            return CheckResult("pass")
+        return CheckResult(
+            "fail",
+            {"gf2": over_gf2.kind, "q": over_q.kind, "dimension": over_gf2.dimension},
+        )
+
+    instances = _suite_corpus()
+    instances += [Instance(id=f"t{i}", complex=K) for i, K in enumerate(_torsion_set())]
+    for inst in instances:
+        assert _check_field_agreement(inst) == direct(inst.complex)
+    assert _check_field_agreement(Instance(id="none")) == CheckResult("skipped")
