@@ -259,7 +259,9 @@ def classify(
     candidate boundary, spanned by the codim-1 faces in a unique facet,
     is a sphere one dimension down, boundary-face links are acyclic and
     interior-face links are concentrated in top dimension.  A sphere or
-    ball verdict additionally requires all facets to share a dimension.
+    ball verdict additionally requires all facets to share a dimension,
+    so a complex that is not pure is `other` at once, with its own Betti
+    vector and no link evidence.
 
     Over Q the link Betti vectors come from one GF(2) pass, and only
     links whose GF(2) vector is nonzero in more than one degree are
@@ -267,6 +269,8 @@ def classify(
     every link over Q.  This holds in characteristic 0 only, so GF(p)
     for odd p ranks every link over GF(p).
     """
+    if not K.is_pure():
+        return HomologyClass("other", K.dim, reduced_betti(K, spec))
     table = link_table(K)
     if spec.char == 0:
         links = _q_from_gf2(table, _link_betti(table, GF2))
@@ -278,6 +282,8 @@ def classify(
 def _classify_gf2_and_q(K: SimplicialComplex) -> tuple[HomologyClass, HomologyClass]:
     """``classify(K, GF2)`` and ``classify(K, QQ)`` from one GF(2) pass
     over the links."""
+    if not K.is_pure():
+        return classify(K, GF2), classify(K, QQ)
     table = link_table(K)
     gf2 = _link_betti(table, GF2)
     return (
@@ -293,12 +299,10 @@ def _verdict(
     with_evidence: bool,
 ) -> HomologyClass:
     """The `classify` verdict from the Betti vector over ``spec`` of
-    every face link of ``K``."""
+    every face link of a pure complex ``K``."""
     dim = K.dim
     betti_self = links[0]  # the link of the empty face is K itself
     evidence = links if with_evidence else None
-    if not K.is_pure():
-        return HomologyClass("other", dim, betti_self, evidence=evidence)
 
     if all(
         b.is_concentrated(dim - f.bit_count()) for f, b in links.items()

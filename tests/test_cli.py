@@ -454,6 +454,7 @@ def test_readers_survive_malformed_documents(doc, field):
         for argv in (
             ["gamma", path],
             ["hvec", path],
+            ["check-subdivision", path, "--fast"],
             ["check-subdivision", path, "--fast", "--field", field],
             ["classify", path, "--field", field],
             ["local-gamma", path],

@@ -265,6 +265,21 @@ def _torsion_set():
     return [rp2, rp2.join(sphere_zero("n", "s")), rp2.cone("apex")]
 
 
+def _impure_set():
+    # A triangle with a dangling edge, and RP² with a loose vertex.
+    plane = [
+        [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 6], [1, 5, 6],
+        [2, 3, 5], [2, 3, 6], [2, 4, 6], [3, 4, 5], [4, 5, 6],
+    ]
+    return [
+        from_facets("abcd", [["a", "b", "c"], ["c", "d"]]),
+        from_facets(
+            [str(i) for i in range(1, 8)],
+            [[str(v) for v in f] for f in plane] + [["7"]],
+        ),
+    ]
+
+
 def test_q_verdicts_equal_the_direct_q_path():
     complexes = []
     for inst in _suite_corpus():
@@ -281,6 +296,20 @@ def test_q_verdicts_equal_the_direct_q_path():
         assert list(got.evidence) == list(K.faces())
         kinds.add(got.kind)
     assert kinds == {"sphere", "ball", "other"}
+    for K in _impure_set():
+        got = classify(K, QQ, with_evidence=True)
+        assert _as_data(got) == _as_data(_direct_q(K))
+        assert got.kind == "other" and got.evidence is None
+        assert got.betti == reduced_betti(K, QQ)
+
+
+def test_impure_complexes_rank_only_themselves(monkeypatch):
+    calls = _spy(monkeypatch, "_betti_of_faces")
+    for K in _impure_set():
+        for spec in (GF2, QQ, FieldSpec.gf(3)):
+            calls.clear()
+            assert classify(K, spec).kind == "other"
+            assert len(calls) == 1
 
 
 def _spy(monkeypatch, name):
@@ -332,7 +361,10 @@ def test_field_agreement_is_unchanged():
         )
 
     instances = _suite_corpus()
-    instances += [Instance(id=f"t{i}", complex=K) for i, K in enumerate(_torsion_set())]
+    instances += [
+        Instance(id=f"t{i}", complex=K)
+        for i, K in enumerate(_torsion_set() + _impure_set())
+    ]
     for inst in instances:
         assert _check_field_agreement(inst) == direct(inst.complex)
     assert _check_field_agreement(Instance(id="none")) == CheckResult("skipped")
