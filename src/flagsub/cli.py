@@ -7,6 +7,7 @@ theorem-tier check failure, 3 on malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -55,6 +56,13 @@ def _load(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInstance(f"cannot read {path}: {exc}") from None
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise MalformedInstance(f"cannot write {path}: {exc}") from None
 
 
 def _emit(doc) -> None:
@@ -218,21 +226,23 @@ def _cmd_suite(args) -> int:
     checks = check_names(args.checks.split(","))
     if args.count < 0:
         raise MalformedInstance("count must be >= 0")
-    instances = _suite_instances(args)
-    reports = run_conjecture_suite(instances, checks)
-    doc = {
-        "rng": RNG_NAME,
-        "dim": args.dim,
-        "count": args.count,
-        "seed": args.seed,
-        "checks": {
-            name: {"tier": CHECKS[name].tier} for name in sorted(checks)
-        },
-        "summary": summarize(reports),
-        "reports": [r.to_dict() for r in reports],
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
+    # Open the report first, so that a bad path is refused before any
+    # instance is generated.
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as fh:
+        instances = _suite_instances(args)
+        reports = run_conjecture_suite(instances, checks)
+        doc = {
+            "rng": RNG_NAME,
+            "dim": args.dim,
+            "count": args.count,
+            "seed": args.seed,
+            "checks": {
+                name: {"tier": CHECKS[name].tier} for name in sorted(checks)
+            },
+            "summary": summarize(reports),
+            "reports": [r.to_dict() for r in reports],
+        }
+        if fh is not None:
             json.dump(doc, fh, indent=2)
     rows = ["check\ttier\tpass\tfail\tskipped"]
     for name, tally in sorted(doc["summary"].items()):

@@ -24,6 +24,7 @@ from .polynomials import (
 )
 from .subdivisions import (
     SubdivisionMap,
+    _relative_local_h_table,
     check_h_decomposition,
     check_locality,
     compose,
@@ -242,8 +243,7 @@ def _check_relative_symmetry(inst: Instance) -> CheckResult:
         return CheckResult("skipped")
     s = inst.subdivision
     d = len(s.base.labels)
-    for E in s.total.faces():
-        ell = s.relative_local_h(E)
+    for E, ell in _relative_local_h_table(s).items():
         if ell.reflect(d - E.bit_count()) != ell:
             return CheckResult(
                 "fail",
@@ -280,10 +280,11 @@ def _check_h_decomposition(inst: Instance) -> CheckResult:
     chk = check_h_decomposition(s)
     if chk.ok:
         return CheckResult("pass")
-    return CheckResult(
-        "fail",
-        {"h_lhs": chk.h_lhs.to_list(), "h_rhs": chk.h_rhs.to_list()},
-    )
+    witness = {"h_lhs": chk.h_lhs.to_list(), "h_rhs": chk.h_rhs.to_list()}
+    if not chk.gamma_equal:
+        witness["gamma_lhs"] = chk.gamma_lhs.to_list()
+        witness["gamma_rhs"] = chk.gamma_rhs.to_list()
+    return CheckResult("fail", witness)
 
 
 def _check_locality(inst: Instance) -> CheckResult:

@@ -281,6 +281,23 @@ def test_unknown_checks_are_refused_before_generating(capsys, monkeypatch):
     assert captured.err == "error: unknown checks: ['nope']\n"
 
 
+def test_suite_out_to_a_bad_path_exits_3_before_generating(
+    capsys, monkeypatch, tmp_path
+):
+    # This was a traceback with exit 1, after every instance was checked.
+    def refuse(args):
+        raise AssertionError("generated instances for an unwritable report")
+
+    monkeypatch.setattr(cli, "_suite_instances", refuse)
+    for path in (tmp_path / "missing" / "report.json", tmp_path):
+        argv = ["suite", "--checks", "gal", "--count", "2", "--out", str(path)]
+        assert main(argv) == 3, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 #: ``--field`` values that are not a field this package computes over.
 BAD_FIELDS = ["gf4", "gfabc", "gf-3", "gf0", "gf1", "X", "gf", "GF2",
               "gf1000000000000000000000000000057", "gf2147483648"]

@@ -21,7 +21,8 @@ from flagsub.harness import (
 from flagsub.homology import classify
 from flagsub.polynomials import gamma_vector
 from flagsub.serialize import subdivision_to_doc
-from flagsub.subdivisions import SubdivisionMap
+from flagsub.polynomials import IntPolynomial
+from flagsub.subdivisions import DecompositionCheck, SubdivisionMap
 
 
 def test_generator_spec_validation():
@@ -270,3 +271,23 @@ def test_digests_skip_only_library_errors(monkeypatch):
     inst.subdivision = random_simplex_subdivision(("a", "b", "c"), 1, 1)
     with pytest.raises(TypeError):
         run_conjecture_suite([inst], set())
+
+
+def test_h_decomposition_witness_shows_a_gamma_failure(monkeypatch):
+    # Equal h sides alone would leave a gamma-only failure unexplained.
+    h = IntPolynomial([1, 3, 1])
+    fake = DecompositionCheck(h, h, IntPolynomial([1, 1]), IntPolynomial([1, 2]))
+    monkeypatch.setattr(harness, "check_h_decomposition", lambda s: fake)
+    inst = Instance(id="gamma-only", pair=random_sphere_pair(2, 1, 1, seed=2))
+    result = run_conjecture_suite([inst], {"h-decomposition"})[0].checks
+    assert result["h-decomposition"].status == "fail"
+    assert result["h-decomposition"].witness == {
+        "h_lhs": [1, 3, 1],
+        "h_rhs": [1, 3, 1],
+        "gamma_lhs": [1, 1],
+        "gamma_rhs": [1, 2],
+    }
+    h_only = DecompositionCheck(h, IntPolynomial([1, 2, 1]), None, None)
+    monkeypatch.setattr(harness, "check_h_decomposition", lambda s: h_only)
+    result = run_conjecture_suite([inst], {"h-decomposition"})[0].checks
+    assert result["h-decomposition"].witness == {"h_lhs": [1, 3, 1], "h_rhs": [1, 2, 1]}

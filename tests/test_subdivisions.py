@@ -9,6 +9,7 @@ from flagsub.complexes import (
     cross_polytope,
     cross_polytope_on,
     from_facets,
+    link_table,
     simplex,
 )
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
@@ -22,9 +23,16 @@ from flagsub.errors import (
     VertexCollision,
 )
 from flagsub.harness import random_simplex_subdivision, random_sphere_pair
-from flagsub.polynomials import IntPolynomial, gamma_from_symmetric, h_polynomial
+from flagsub.polynomials import (
+    IntPolynomial,
+    SymmetryFailure,
+    gamma_from_symmetric,
+    h_polynomial,
+)
 from flagsub.subdivisions import (
     SubdivisionMap,
+    _relative_local_h_table,
+    _restricted_local_h,
     barycentric_subdivision,
     barycenter_name,
     check_h_decomposition,
@@ -39,6 +47,7 @@ from flagsub.subdivisions import (
 
 from conftest import (
     dense_coeffs,
+    literal_is_eulerian,
     literal_quasi_geometric,
     poly_coeffs,
     sympy_h_of,
@@ -606,13 +615,14 @@ def sphere_subdivisions():
 
 
 def test_restricted_local_h_matches_sympy_oracle():
-    from flagsub.subdivisions import _restricted_local_h
-
+    # The result is sparse: a missing key reads as zero, and the keys are
+    # exactly the base faces whose restriction has nonzero local h.
     for s in simplex_subdivisions() + sphere_subdivisions():
-        local = _restricted_local_h(s)
-        assert set(local) == set(s.base.faces())
+        local = _restricted_local_h(s, link_table(s.base))
+        oracle = {F: sympy_local_h(s.restriction(F)) for F in s.base.faces()}
+        assert set(local) == {F for F, ell in oracle.items() if ell}
         for F in s.base.faces():
-            assert poly_coeffs(local[F]) == sympy_local_h(s.restriction(F))
+            assert poly_coeffs(local.get(F, IntPolynomial())) == oracle[F]
 
 
 def test_relative_local_h_matches_sympy_oracle():
@@ -701,6 +711,131 @@ def derived_maps(rng: random.Random) -> list[SubdivisionMap]:
     if rng.randrange(2):
         maps += chain("j", join_subdivision(maps[-1], chain("z", start("z"))[-1]))
     return maps
+
+
+def test_relative_local_h_table_matches_the_per_face_method():
+    maps = simplex_subdivisions()
+    for seed in range(30):
+        maps += [
+            m
+            for m in derived_maps(random.Random(seed))
+            if m.base.facets == {(1 << len(m.base.labels)) - 1}
+        ]
+    assert len(maps) > 40
+    for s in maps:
+        table = _relative_local_h_table(s)
+        assert list(table) == list(s.total.faces())
+        for E, ell in table.items():
+            assert ell == s.relative_local_h(E)
+
+
+def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:
+    shift = len(A.labels)
+    return SimplicialComplex(
+        A.labels + B.labels, list(A.facets) + [f << shift for f in B.facets]
+    )
+
+
+def boundary(names) -> SimplicialComplex:
+    """The boundary of the simplex on ``names``: a sphere of dimension
+    len(names) - 2."""
+    full = (1 << len(names)) - 1
+    return SimplicialComplex(names, [full ^ (1 << i) for i in range(len(names))])
+
+
+def guard_complexes() -> list[SimplicialComplex]:
+    """Fixture totals and bases, random complexes on up to six vertices
+    (mostly impure), and random disjoint unions of simplex boundaries,
+    some suspended.  S^3 + S^1 is Eulerian with symmetric h, but the
+    vertex links of its circle are not symmetric at width 3."""
+    out = [disjoint_union(boundary(letters(5)), boundary(["p", "q", "r"]))]
+    for name in FIXTURE_NAMES:
+        fx = example_complexes(name)
+        out += [fx.total, fx.base]
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        generators = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+        out.append(SimplicialComplex(letters(n), generators))
+    for i in range(40):
+        parts = [
+            boundary([f"p{j}{x}" for x in letters(rng.randint(2, 5))])
+            for j in range(rng.randint(1, 3))
+        ]
+        K = parts[0]
+        for P in parts[1:]:
+            K = disjoint_union(K, P)
+        if i % 3 == 0:
+            K = K.join(from_facets(["s", "t"], [["s"], ["t"]]))
+        out.append(K)
+    return out
+
+
+def literal_decomposition(s: SubdivisionMap):
+    """The four sides as dense sums over every base face, each link and
+    restriction built on its own, or None where some gamma conversion
+    fails: the rule `check_h_decomposition` must raise on."""
+    d = s.base.dim + 1
+    h_lhs = h_polynomial(s.total)
+    terms = [
+        (F, s.restriction(F).local_h(), h_polynomial(s.base.link(F)))
+        for F in s.base.faces()
+    ]
+    h_rhs = IntPolynomial()
+    for _, ell, link_h in terms:
+        h_rhs = h_rhs + ell * link_h
+    if not literal_is_eulerian(s.base):
+        return h_lhs, h_rhs, None, None
+    g_lhs = gamma_from_symmetric(h_lhs, d)
+    g_rhs = IntPolynomial()
+    for F, ell, link_h in terms:
+        g_local = gamma_from_symmetric(ell, F.bit_count())
+        g_link = gamma_from_symmetric(link_h, d - F.bit_count())
+        if isinstance(g_local, SymmetryFailure) or isinstance(g_link, SymmetryFailure):
+            return None
+        g_rhs = g_rhs + g_local.polynomial() * g_link.polynomial()
+    if isinstance(g_lhs, SymmetryFailure):
+        return None
+    return h_lhs, h_rhs, g_lhs.polynomial(), g_rhs
+
+
+def test_link_symmetry_guard_matches_the_literal_rule():
+    outcomes = set()
+    for K in guard_complexes():
+        s = trivial_subdivision(K)
+        want = literal_decomposition(s)
+        symmetric_h = not isinstance(
+            gamma_from_symmetric(h_polynomial(K), K.dim + 1), SymmetryFailure
+        )
+        if want is None:
+            with pytest.raises(NotHomologySubdivision):
+                check_h_decomposition(s)
+            outcomes.add("raises" if not symmetric_h else "raises on a link only")
+        else:
+            chk = check_h_decomposition(s)
+            assert (chk.h_lhs, chk.h_rhs, chk.gamma_lhs, chk.gamma_rhs) == want
+            outcomes.add("no gamma" if want[2] is None else "gamma")
+    assert outcomes == {"raises", "raises on a link only", "no gamma", "gamma"}
+
+
+def test_h_decomposition_converts_only_the_nonzero_terms(monkeypatch):
+    # One gamma conversion of h(total), then a local and a link one for
+    # the empty face and for each nonempty F with nonzero local h: the
+    # dense sum made two for every base face.
+    from flagsub import subdivisions
+
+    calls = []
+
+    def spy(h, d):
+        calls.append(d)
+        return gamma_from_symmetric(h, d)
+
+    s = random_sphere_pair(5, 1, 2, 3)
+    nonzero = [F for F in s.base.faces()[1:] if s.restriction(F).local_h()]
+    assert 0 < len(nonzero) < s.base.num_faces() // 20
+    monkeypatch.setattr(subdivisions, "gamma_from_symmetric", spy)
+    assert check_h_decomposition(s).ok
+    assert len(calls) == 1 + 2 * len(nonzero) + 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
