@@ -21,7 +21,7 @@ from .errors import (
     NotHomologySubdivision,
     UnknownFixture,
 )
-from .homology import GF2, FieldSpec, classify
+from .homology import classify
 from .subdivisions import SubdivisionMap
 
 FIXTURE_NAMES = ("ex-2.3a", "ex-2.3b", "ex-2.3c", "rem-4.5")
@@ -43,14 +43,13 @@ def sigma_cross_polytope_map(
     K: SimplicialComplex,
     choice: FacetChoice,
     verify_sphere: bool = False,
-    spec: FieldSpec = GF2,
 ) -> SubdivisionMap:
     """Carrier map of a flag sphere onto the cross-polytope boundary.
 
     With the chosen facet ordered x_1..x_d, a face E carries to the
     u_i for its members x_i plus the v_i for every i with E + x_i not
     a face.  Flagness is always checked; homology-sphere certification
-    is optional because it is expensive.
+    over GF(2) is optional because it is expensive.
     """
     if not K.is_flag():
         raise NotFlag("source complex is not flag")
@@ -60,7 +59,7 @@ def sigma_cross_polytope_map(
     if len(choice.ordered) != facet_mask.bit_count():
         raise NotAFacet("facet ordering repeats a vertex")
     if verify_sphere:
-        hc = classify(K, spec)
+        hc = classify(K)
         if not hc.is_sphere:
             raise NotASphere(f"source classifies as {hc.kind}")
     d = len(choice.ordered)

@@ -4,18 +4,24 @@ Ranks of boundary matrices are exact: XOR elimination on bitmask
 columns over GF(2), and one sparse integer column eliminator for GF(p),
 p > 2, and for Q (after Dumas, Heckenbach, Saunders and Welker, 2003),
 with no fractions and no tolerances.  ``classify`` takes every face
-link from one pass over the faces.
+link from one pass over the faces, and a ball's boundary and its links
+from that same table.
 
-Over Q, ``classify`` ranks every link over GF(2) first.  An integer
-matrix has rank over GF(2) at most its rank over Q, so each reduced
-Betti number over Q is at most the one over GF(2), and the reduced
-Euler characteristic is the same over both fields.  A GF(2) Betti
-vector that is nonzero in at most one degree is therefore the Q vector
-too (universal coefficients; Munkres, *Elements of Algebraic Topology*,
-§§53-56), and the sparse Q eliminator runs only on the other links,
-where torsion is possible.  The bound runs one way only: GF(p) for odd
-p has no rank order against GF(2) (the projective plane has homology
-over GF(2) and none over GF(3)), so there every link is ranked directly.
+Over Q, ``classify`` decides over GF(2) first.  An integer matrix has
+rank over GF(2) at most its rank over Q, so each reduced Betti number
+over Q is at most the one over GF(2), and the reduced Euler
+characteristic is the same over both fields.  A GF(2) Betti vector
+that is nonzero in at most one degree is therefore the Q vector too
+(universal coefficients; Munkres, *Elements of Algebraic Topology*,
+§§53-56).  Every vector behind a sphere or ball verdict is such a
+vector: the links of the complex and of the boundary are zero or one
+copy of the field in one degree.  So a GF(2) sphere or ball is the Q
+verdict as it stands, and only a GF(2) `other` is decided again over
+Q, where the sparse eliminator runs only on the links whose GF(2)
+vector is nonzero in two or more degrees, the only place torsion can
+change a vector.  The bound runs one way only: GF(p) for odd p has no
+rank order against GF(2) (the projective plane has homology over GF(2)
+and none over GF(3)), so there every link is ranked directly.
 ``reduced_betti`` always ranks over the field it is given.
 """
 
@@ -91,10 +97,6 @@ class BettiVector:
         if 0 <= j < len(self.values):
             return self.values[j]
         return 0
-
-    @property
-    def top_index(self) -> int:
-        return len(self.values) - 2
 
     def is_concentrated(self, dim: int) -> bool:
         """Exactly one dimension of rank 1, at ``dim``; zero elsewhere."""
@@ -230,23 +232,6 @@ class HomologyClass:
         return self.kind == "ball"
 
 
-def _link_betti(table: dict[int, list[int]], spec: FieldSpec) -> dict[int, BettiVector]:
-    """Betti vector over ``spec`` of every link in a `link_table`."""
-    return {f: _betti_of_faces(faces, spec) for f, faces in table.items()}
-
-
-def _q_from_gf2(
-    table: dict[int, list[int]], gf2: dict[int, BettiVector]
-) -> dict[int, BettiVector]:
-    """Q Betti vectors of the links in ``table`` from their GF(2) ones
-    ``gf2``: a vector nonzero in at most one degree holds over Q as it
-    stands, and only the other links are ranked over Q."""
-    return {
-        f: b if sum(1 for v in b.values if v) <= 1 else _betti_of_faces(table[f], QQ)
-        for f, b in gf2.items()
-    }
-
-
 def classify(
     K: SimplicialComplex,
     spec: FieldSpec = GF2,
@@ -263,43 +248,55 @@ def classify(
     so a complex that is not pure is `other` at once, with its own Betti
     vector and no link evidence.
 
-    Over Q the link Betti vectors come from one GF(2) pass, and only
-    links whose GF(2) vector is nonzero in more than one degree are
-    ranked over Q (see the module docstring); the result equals ranking
-    every link over Q.  This holds in characteristic 0 only, so GF(p)
-    for odd p ranks every link over GF(p).
+    Over Q the verdict is first taken over GF(2).  A GF(2) sphere or
+    ball rests only on Betti vectors nonzero in at most one degree,
+    which are the Q vectors too, so it is returned as it stands,
+    evidence included.  A GF(2) `other` is decided again over Q, ranking
+    over Q only the links whose GF(2) vector is nonzero in two or more
+    degrees (see the module docstring).  Either way the result equals
+    ranking every link over Q.  This holds in characteristic 0 only, so
+    GF(p) for odd p ranks every link over GF(p).
     """
     if not K.is_pure():
         return HomologyClass("other", K.dim, reduced_betti(K, spec))
     table = link_table(K)
-    if spec.char == 0:
-        links = _q_from_gf2(table, _link_betti(table, GF2))
-    else:
-        links = _link_betti(table, spec)
-    return _verdict(K, links, spec, with_evidence)
+    first = GF2 if spec.char == 0 else spec
+    links = {f: _betti_of_faces(faces, first) for f, faces in table.items()}
+    hc = _verdict(K, table, links, first, with_evidence)
+    if first == spec or hc.kind != "other":
+        return hc
+    links = {
+        f: b if sum(1 for v in b.values if v) <= 1 else _betti_of_faces(table[f], QQ)
+        for f, b in links.items()
+    }
+    return _verdict(K, table, links, QQ, with_evidence)
 
 
 def _classify_gf2_and_q(K: SimplicialComplex) -> tuple[HomologyClass, HomologyClass]:
-    """``classify(K, GF2)`` and ``classify(K, QQ)`` from one GF(2) pass
-    over the links."""
-    if not K.is_pure():
-        return classify(K, GF2), classify(K, QQ)
-    table = link_table(K)
-    gf2 = _link_betti(table, GF2)
-    return (
-        _verdict(K, gf2, GF2, False),
-        _verdict(K, _q_from_gf2(table, gf2), QQ, False),
-    )
+    """``classify(K, GF2)`` and ``classify(K, QQ)``: the GF(2) verdict
+    is the Q one unless it is `other`."""
+    over_gf2 = classify(K, GF2)
+    if over_gf2.kind != "other":
+        return over_gf2, over_gf2
+    return over_gf2, classify(K, QQ)
 
 
 def _verdict(
     K: SimplicialComplex,
+    table: dict[int, list[int]],
     links: dict[int, BettiVector],
     spec: FieldSpec,
     with_evidence: bool,
 ) -> HomologyClass:
-    """The `classify` verdict from the Betti vector over ``spec`` of
-    every face link of a pure complex ``K``."""
+    """The `classify` verdict of a pure complex ``K`` from its
+    `link_table` and the Betti vector over ``spec`` of every link.
+
+    A ridge R lies in exactly one facet iff its link is one vertex,
+    ``len(table[R]) == 2``.  The boundary those ridges span is pure, and
+    its links are ranked over ``spec`` only after the links of ``K``
+    pass.  With no such ridge the boundary is {∅}, whose one link is
+    concentrated in degree -1 = dim - 1 exactly when dim = 0.
+    """
     dim = K.dim
     betti_self = links[0]  # the link of the empty face is K itself
     evidence = links if with_evidence else None
@@ -309,24 +306,19 @@ def _verdict(
     ):
         return HomologyClass("sphere", dim, betti_self, evidence=evidence)
 
-    boundary_faces = [
-        f
-        for f in K.faces()
-        if f.bit_count() == dim
-        and sum(1 for g in K.facets if f & g == f) == 1
-    ]
-    boundary = from_faces(K.labels, boundary_faces)
-    sub = classify(boundary, spec)
-    if sub.is_sphere and sub.dimension == dim - 1:
-        bset = boundary.face_set
-        ok = all(
-            b.is_zero() if f in bset else b.is_concentrated(dim - f.bit_count())
-            for f, b in links.items()
+    ridges = [f for f, up in table.items() if f.bit_count() == dim and len(up) == 2]
+    boundary = from_faces(K.labels, ridges)
+    bset = boundary.face_set
+    if all(
+        b.is_zero() if f in bset else b.is_concentrated(dim - f.bit_count())
+        for f, b in links.items()
+    ) and all(
+        _betti_of_faces(faces, spec).is_concentrated(dim - 1 - f.bit_count())
+        for f, faces in link_table(boundary).items()
+    ):
+        return HomologyClass(
+            "ball", dim, betti_self, boundary=boundary, evidence=evidence
         )
-        if ok:
-            return HomologyClass(
-                "ball", dim, betti_self, boundary=boundary, evidence=evidence
-            )
     return HomologyClass("other", dim, betti_self, evidence=evidence)
 
 

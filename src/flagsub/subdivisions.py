@@ -46,7 +46,7 @@ from .errors import (
     NotHomologySubdivision,
     VertexCollision,
 )
-from .homology import GF2, FieldSpec, classify, interior_faces
+from .homology import GF2, FieldSpec, classify
 from .polynomials import (
     ONE,
     ZERO,
@@ -270,15 +270,15 @@ class SubdivisionMap:
     ) -> SubdivisionVerdict:
         """Check the subdivision axioms and the property hierarchy.
 
-        Full validation builds the restriction Δ_F to every base face F
-        and certifies it as a homology ball of dimension |F| - 1 whose
-        interior is the carrier preimage of F.  With ``fast=True``
-        homology is skipped and no restriction is built: Δ_F is only
-        checked for purity and for interior match against the
-        unique-facet boundary rule, both read from the carriers of the
-        cofacets of every total face (see `_restriction_defects`).  The
-        flag verdict of Δ_F comes from the same carrier data in both
-        modes.
+        Every restriction Δ_F to a base face F must be a homology ball
+        of dimension |F| - 1 whose interior is the carrier preimage of
+        F.  A ball's boundary is the closure of its ridges that lie in
+        one facet, so in both modes the interior test, and the flag
+        verdict of Δ_F, are read from the carriers of the cofacets of
+        every total face (see `_restriction_defects`).  Full validation
+        builds Δ_F only to ask `classify` whether it is a ball.  With
+        ``fast=True`` homology is skipped and no restriction is built:
+        Δ_F is only checked for purity, from the same carrier data.
 
         Failures are listed base face by base face in face order: in
         fast mode an impure restriction reports only its impurity; then
@@ -308,38 +308,27 @@ class SubdivisionMap:
             if F == 0:
                 continue
 
-            if fast:
-                if F in impure:
-                    hs = False
-                    failures.append(
-                        (face_name(self.base, F), "restriction not pure of full dimension")
-                    )
-                    continue
-                if F in not_interior:
-                    hs = False
-                    failures.append(
-                        (face_name(self.base, F), "carrier preimage is not the interior")
-                    )
-            else:
+            if fast and F in impure:
+                hs = False
+                failures.append(
+                    (face_name(self.base, F), "restriction not pure of full dimension")
+                )
+                continue
+            reason = None
+            if not fast:
                 masks = [E for c in iter_submasks(F) for E in by_carrier[c]]
-                K_F = SimplicialComplex(self.total.labels, masks)
-                preimage = set(by_carrier[F])
+                hc = classify(SimplicialComplex(self.total.labels, masks), spec)
                 card = F.bit_count()
-                hc = classify(K_F, spec)
                 if not hc.is_ball or hc.dimension != card - 1:
-                    hs = False
-                    failures.append(
-                        (
-                            face_name(self.base, F),
-                            f"restriction classifies as {hc.kind}({hc.dimension}),"
-                            f" expected ball({card - 1})",
-                        )
+                    reason = (
+                        f"restriction classifies as {hc.kind}({hc.dimension}),"
+                        f" expected ball({card - 1})"
                     )
-                elif preimage != interior_faces(K_F, hc):
-                    hs = False
-                    failures.append(
-                        (face_name(self.base, F), "carrier preimage is not the interior")
-                    )
+            if reason is None and F in not_interior:
+                reason = "carrier preimage is not the interior"
+            if reason is not None:
+                hs = False
+                failures.append((face_name(self.base, F), reason))
 
             # vertex-induced: restriction equals the induced subcomplex
             # on its own vertex set.
@@ -629,9 +618,7 @@ def _relative_local_h_table(s: SubdivisionMap) -> dict[int, IntPolynomial]:
     }
 
 
-def check_h_decomposition(
-    s: SubdivisionMap, verify: bool = False, spec: FieldSpec = GF2
-) -> DecompositionCheck:
+def check_h_decomposition(s: SubdivisionMap) -> DecompositionCheck:
     """h(total) against the face sum of local contributions times links.
 
     This is Stanley's decomposition h(total) = sum over base faces F of
@@ -645,8 +632,6 @@ def check_h_decomposition(
     an asymmetric link raises `NotHomologySubdivision`.  Equality is the
     caller's property to assert, not assumed.
     """
-    if verify and not s.validate(spec).is_homology_subdivision:
-        raise NotHomologySubdivision("input failed homology validation")
     h_lhs = h_polynomial(s.total)
     links = link_table(s.base)
     local = _restricted_local_h(s, links)

@@ -12,7 +12,7 @@ from sympy import GF, QQ, Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from flagsub.complexes import SimplicialComplex, iter_bits, iter_submasks
-from flagsub.homology import GF2, classify, interior_faces
+from flagsub.homology import GF2, FieldSpec, HomologyClass, reduced_betti
 from flagsub.subdivisions import SubdivisionMap
 
 x = symbols("x")
@@ -143,6 +143,36 @@ def sympy_reduced_betti(K: SimplicialComplex, char: int = 0) -> list[int]:
     ]
 
 
+def literal_classify(K: SimplicialComplex, spec: FieldSpec) -> HomologyClass:
+    """`classify(K, spec, with_evidence=True)` by the definition: each
+    link is built and ranked as ``reduced_betti(K.link(f), spec)``, the
+    boundary ridges are found by counting the facets that contain them,
+    and the boundary is classified by recursion."""
+    dim = K.dim
+    if any(g.bit_count() != dim + 1 for g in K.facets):
+        return HomologyClass("other", dim, reduced_betti(K, spec))
+    links = {f: reduced_betti(K.link(f), spec) for f in K.faces()}
+    if all(b.is_concentrated(dim - f.bit_count()) for f, b in links.items()):
+        return HomologyClass("sphere", dim, links[0], evidence=links)
+    ridges = [
+        r
+        for r in K.faces()
+        if r.bit_count() == dim and sum(1 for g in K.facets if r & g == r) == 1
+    ]
+    boundary = SimplicialComplex(K.labels, ridges)
+    sub = literal_classify(boundary, spec)
+    if (
+        sub.is_sphere
+        and sub.dimension == dim - 1
+        and all(
+            b.is_zero() if f in boundary.face_set else b.is_concentrated(dim - f.bit_count())
+            for f, b in links.items()
+        )
+    ):
+        return HomologyClass("ball", dim, links[0], boundary=boundary, evidence=links)
+    return HomologyClass("other", dim, links[0], evidence=links)
+
+
 def literal_quasi_geometric(s: SubdivisionMap) -> bool:
     """Direct quantifier form: no total face has all its vertex carriers
     inside a base face of strictly smaller dimension."""
@@ -213,7 +243,7 @@ def _literal_verdict(s: SubdivisionMap, fast: bool) -> dict:
                 hs = False
                 failures.append([where, "carrier preimage is not the interior"])
         else:
-            hc = classify(K_F, GF2)
+            hc = literal_classify(K_F, GF2)
             if not hc.is_ball or hc.dimension != card - 1:
                 hs = False
                 failures.append(
@@ -223,7 +253,7 @@ def _literal_verdict(s: SubdivisionMap, fast: bool) -> dict:
                         f" expected ball({card - 1})",
                     ]
                 )
-            elif preimage != interior_faces(K_F, hc):
+            elif preimage != K_F.face_set - hc.boundary.face_set:
                 hs = False
                 failures.append([where, "carrier preimage is not the interior"])
         # Vertex-induced: every total face on vertices of the
@@ -278,5 +308,7 @@ def literal_fast_verdict(s: SubdivisionMap) -> dict:
 
 
 def literal_full_verdict(s: SubdivisionMap) -> dict:
-    """``validate().to_dict()`` over GF(2) by the per-restriction rules."""
+    """``validate().to_dict()`` over GF(2) by the per-restriction rules:
+    each restriction is classified by `literal_classify`, and its
+    interior is its faces minus that verdict's boundary."""
     return _literal_verdict(s, fast=False)

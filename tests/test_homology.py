@@ -13,13 +13,17 @@ from flagsub.complexes import (
     sphere_zero,
 )
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
-from flagsub.harness import CheckResult, Instance, _check_field_agreement
+from flagsub.harness import (
+    CheckResult,
+    Instance,
+    _check_field_agreement,
+    random_simplex_subdivision,
+)
 from flagsub.homology import (
     GF2,
     MAX_CHAR,
     QQ,
     FieldSpec,
-    _betti_of_faces,
     _rank,
     classify,
     interior_faces,
@@ -27,7 +31,7 @@ from flagsub.homology import (
 )
 from flagsub.polynomials import h_polynomial, interior_h_polynomial
 
-from conftest import sympy_reduced_betti
+from conftest import literal_classify, sympy_reduced_betti
 
 
 def test_field_spec():
@@ -235,16 +239,10 @@ def test_ball_reciprocity():
 # -- Q verdicts from the GF(2) pass ----------------------------------------
 
 
-def _rank_every_link_over_q(table, gf2):
-    return {f: _betti_of_faces(faces, QQ) for f, faces in table.items()}
-
-
 def _direct_q(K):
-    """The oracle: `classify(K, QQ)` with every link, the recursive
-    boundary call's included, ranked by the Q eliminator."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_q_from_gf2", _rank_every_link_over_q)
-        return classify(K, QQ, with_evidence=True)
+    """The oracle: `classify(K, QQ, with_evidence=True)` by the
+    definition, every link ranked by the Q eliminator."""
+    return literal_classify(K, QQ)
 
 
 def _as_data(hc):
@@ -280,7 +278,7 @@ def _impure_set():
     ]
 
 
-def test_q_verdicts_equal_the_direct_q_path():
+def _oracle_corpus():
     complexes = []
     for inst in _suite_corpus():
         complexes += [inst.complex, inst.subdivision.total, inst.pair.total]
@@ -288,9 +286,12 @@ def test_q_verdicts_equal_the_direct_q_path():
         s = example_complexes(name)
         complexes.append(s.total)
         complexes += [s.restriction(F).total for F in s.base.faces() if F]
-    complexes += _torsion_set()
+    return complexes + _torsion_set()
+
+
+def test_q_verdicts_equal_the_direct_q_path():
     kinds = set()
-    for K in complexes:
+    for K in _oracle_corpus():
         got = classify(K, QQ, with_evidence=True)
         assert _as_data(got) == _as_data(_direct_q(K))
         assert list(got.evidence) == list(K.faces())
@@ -301,6 +302,16 @@ def test_q_verdicts_equal_the_direct_q_path():
         assert _as_data(got) == _as_data(_direct_q(K))
         assert got.kind == "other" and got.evidence is None
         assert got.betti == reduced_betti(K, QQ)
+
+
+@pytest.mark.parametrize("spec", [GF2, FieldSpec.gf(3)], ids=str)
+def test_finite_field_verdicts_equal_the_literal_oracle(spec):
+    kinds = set()
+    for K in _oracle_corpus() + _impure_set():
+        got = classify(K, spec, with_evidence=True)
+        assert _as_data(got) == _as_data(literal_classify(K, spec))
+        kinds.add(got.kind)
+    assert kinds == {"sphere", "ball", "other"}
 
 
 def test_impure_complexes_rank_only_themselves(monkeypatch):
@@ -339,6 +350,23 @@ def test_q_eliminator_runs_only_where_torsion_is_possible(monkeypatch):
     assert all(
         b.is_concentrated(2 - f.bit_count()) for f, b in hc.evidence.items() if f
     )
+
+
+def test_both_verdicts_of_a_ball_cost_one_gf2_pass(monkeypatch):
+    K = random_simplex_subdivision(("a", "b", "c", "d"), 4, 3).total
+    assert K.num_faces() == 56
+    entries = _spy(monkeypatch, "classify")
+    gf2_ranks = _spy(monkeypatch, "_rank_gf2")
+    q_ranks = _spy(monkeypatch, "_rank")
+    alone = homology.classify(K, GF2)
+    assert alone.is_ball and len(entries) == 1
+    assert len(gf2_ranks) == 125
+    entries.clear()
+    gf2_ranks.clear()
+    assert homology._classify_gf2_and_q(K) == (alone, alone)
+    assert len(entries) == 1
+    assert len(gf2_ranks) == 125
+    assert q_ranks == []
 
 
 def test_odd_characteristic_never_ranks_over_gf2(monkeypatch):

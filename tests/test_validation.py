@@ -120,6 +120,7 @@ def failure_kind(reason: str) -> str:
 
 def test_validation_matches_per_restriction_oracles():
     seen: set[str] = set()
+    seen_full: set[str] = set()
 
     @settings(
         max_examples=150,
@@ -132,11 +133,14 @@ def test_validation_matches_per_restriction_oracles():
         s = validation_case(kind, seed)
         want = literal_fast_verdict(s)
         assert s.validate(fast=True).to_dict() == want
-        assert s.validate().to_dict() == literal_full_verdict(s)
+        want_full = literal_full_verdict(s)
+        assert s.validate().to_dict() == want_full
         seen.update(failure_kind(reason) for _, reason in want["failures"])
+        seen_full.update(failure_kind(reason) for _, reason in want_full["failures"])
 
     check()
     assert seen >= {"impure", "interior", "vertex-induced", "non-flag", "quasi-geometric"}
+    assert seen_full >= {"homology", "interior"}
 
 
 def test_fast_validation_builds_no_complex(monkeypatch):
