@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .complexes import (
     SimplicialComplex,
+    cross_polytope,
     cross_polytope_on,
     from_faces,
     from_facets,
@@ -63,9 +64,7 @@ def sigma_cross_polytope_map(
         if not hc.is_sphere:
             raise NotASphere(f"source classifies as {hc.kind}")
     d = len(choice.ordered)
-    base = cross_polytope_on(
-        [f"u{i}" for i in range(1, d + 1)], [f"v{i}" for i in range(1, d + 1)]
-    )
+    base = cross_polytope(d)
     x_bits = [K.mask([x]) for x in choice.ordered]
     carrier = {}
     for E in K.faces():
@@ -155,7 +154,6 @@ def _fixture_2_3c() -> SubdivisionMap:
     # the face itself added) over a new vertex and gluing to the solid
     # tetrahedron gives a flag total complex whose restriction to the
     # face is not flag.
-    labels = ("a", "b", "c", "d", "v", "b'", "c'", "d'")
     inner = [
         ("b", "c", "c'"),
         ("b", "c'", "b'"),
@@ -167,23 +165,13 @@ def _fixture_2_3c() -> SubdivisionMap:
     ]
     facets = [("a", "b", "c", "d"), ("v", "b", "c", "d")]
     facets += [("v",) + t for t in inner]
-    total = from_facets(labels, facets)
-    base = simplex(("a", "b", "c", "d"))
-    v_bit = total.mask(["v"])
-    primes = total.mask(["b'", "c'", "d'"])
-    f_mask_t = total.mask(["b", "c", "d"])
-    abcd = total.mask(["a", "b", "c", "d"])
-    full_b = 0b1111
-    f_mask_b = base.mask(["b", "c", "d"])
-    carrier = {}
-    for E in total.faces():
-        if E & v_bit or E & f_mask_t == f_mask_t:
-            carrier[E] = full_b
-        elif E & abcd == E:
-            carrier[E] = base.mask(total.names(E))
-        else:
-            carrier[E] = f_mask_b  # faces meeting the primed interior
-    return SubdivisionMap(total, base, carrier)
+    return _pushed_simplex_fixture(
+        ("a", "b", "c", "d", "v", "b'", "c'", "d'"),
+        facets,
+        ("a", "b", "c", "d"),
+        ("b", "c", "d"),
+        extra_to_v=("v",),
+    )
 
 
 def example_complexes(name: str) -> SubdivisionMap:

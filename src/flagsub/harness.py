@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import SimplicialComplex, card_offsets, cross_polytope, from_facets
+from .complexes import SimplicialComplex, card_offsets, cross_polytope, sphere_zero
 from .errors import FlagsubError, MalformedInstance
 from .polynomials import (
     GammaVector,
@@ -63,19 +63,19 @@ class GeneratorSpec:
             raise MalformedInstance(f"unknown moves: {sorted(bad)}")
 
 
-def _size_guard(num_faces: int, max_faces: int) -> None:
-    if num_faces > max_faces:
-        raise MalformedInstance(f"instance exceeded {max_faces} faces; refuse to continue")
+def _size_guard(num_faces: int) -> None:
+    if num_faces > MAX_FACES:
+        raise MalformedInstance(f"instance exceeded {MAX_FACES} faces; refuse to continue")
 
 
-def _cross_polytope_trail(dimension: int, max_faces: int) -> SubdivisionMap:
+def _cross_polytope_trail(dimension: int) -> SubdivisionMap:
     # 3**dimension faces; past the cap's bit length 2**d alone exceeds it.
-    _size_guard(3 ** min(dimension, max_faces.bit_length()), max_faces)
+    _size_guard(3 ** min(dimension, MAX_FACES.bit_length()))
     return trivial_subdivision(cross_polytope(dimension))
 
 
 def _grow(
-    s: SubdivisionMap, steps: int, rng: random.Random, moves=None, max_faces=MAX_FACES
+    s: SubdivisionMap, steps: int, rng: random.Random, moves=None
 ) -> SubdivisionMap:
     """``s`` composed with ``steps`` random moves on its total.  With
     ``moves`` given, each step draws one, even from a single move; else
@@ -94,28 +94,27 @@ def _grow(
         else:
             # The join with a two-point sphere has exactly three times
             # the faces, so refuse before building it.
-            _size_guard(3 * K.num_faces(), max_faces)
+            _size_guard(3 * K.num_faces())
             k = len(s.base.labels) // 2 + 1
-            s0 = from_facets((f"u{k}", f"v{k}"), [[f"u{k}"], [f"v{k}"]])
+            s0 = sphere_zero(f"u{k}", f"v{k}")
             s = join_subdivision(s, trivial_subdivision(s0))
-        _size_guard(s.total.num_faces(), max_faces)
+        _size_guard(s.total.num_faces())
     return s
 
 
-def random_flag_sphere(
-    spec: GeneratorSpec, max_faces: int = MAX_FACES
-) -> tuple[SimplicialComplex, SubdivisionMap]:
+def random_flag_sphere(spec: GeneratorSpec) -> tuple[SimplicialComplex, SubdivisionMap]:
     """Random flag sphere with its subdivision trail over the starting
     cross-polytope boundary.
 
     Starts from the boundary of the ``dimension``-dimensional
     cross-polytope and applies ``steps`` uniformly random moves; edge
     subdivisions and joins with two-point spheres both preserve the
-    flag-sphere class.  Identical specs yield identical outputs.
+    flag-sphere class.  Identical specs yield identical outputs.  A
+    start or a step beyond `MAX_FACES` total faces raises
+    `MalformedInstance`; a join is refused before it is built.
     """
     rng = random.Random(spec.seed)
-    start = _cross_polytope_trail(spec.dimension, max_faces)
-    trail = _grow(start, spec.steps, rng, spec.moves, max_faces)
+    trail = _grow(_cross_polytope_trail(spec.dimension), spec.steps, rng, spec.moves)
     return trail.total, trail
 
 
@@ -139,7 +138,7 @@ def random_sphere_pair(
     cross-polytope boundary; the total applies ``extra_steps`` more.
     """
     rng = random.Random(seed)
-    K = _grow(_cross_polytope_trail(dimension, MAX_FACES), pre_steps, rng).total
+    K = _grow(_cross_polytope_trail(dimension), pre_steps, rng).total
     return _grow(trivial_subdivision(K), extra_steps, rng)
 
 
@@ -342,9 +341,10 @@ def _check_xi_formulas(inst: Instance) -> CheckResult:
 def _check_field_agreement(inst: Instance) -> CheckResult:
     if inst.complex is None:
         return CheckResult("skipped")
-    from .homology import _classify_gf2_and_q
+    from .homology import QQ, _verdicts
 
-    over_gf2, over_q = _classify_gf2_and_q(inst.complex)
+    verdicts = _verdicts(inst.complex, QQ)
+    over_gf2, over_q = verdicts[0], verdicts[-1]
     if (over_gf2.kind, over_gf2.dimension) == (over_q.kind, over_q.dimension):
         return CheckResult("pass")
     return CheckResult(

@@ -213,8 +213,9 @@ class HomologyClass:
 
     For a ball, ``boundary`` is the subcomplex spanned by the codim-1
     faces lying in a unique facet (on the same ground set, so face
-    masks stay comparable).  ``evidence`` optionally maps each face to
-    the Betti vector of its link.
+    masks stay comparable).  For a pure complex ``evidence`` maps each
+    face, in face order, to the Betti vector of its link; an impure
+    complex carries none.
     """
 
     kind: str  # "sphere" | "ball" | "other"
@@ -232,11 +233,7 @@ class HomologyClass:
         return self.kind == "ball"
 
 
-def classify(
-    K: SimplicialComplex,
-    spec: FieldSpec = GF2,
-    with_evidence: bool = False,
-) -> HomologyClass:
+def classify(K: SimplicialComplex, spec: FieldSpec = GF2) -> HomologyClass:
     """Certify ``K`` as a homology sphere, homology ball, or neither.
 
     Sphere: every face link (the empty face included) has homology
@@ -246,7 +243,8 @@ def classify(
     interior-face links are concentrated in top dimension.  A sphere or
     ball verdict additionally requires all facets to share a dimension,
     so a complex that is not pure is `other` at once, with its own Betti
-    vector and no link evidence.
+    vector and no link evidence.  Every verdict on a pure complex
+    carries the Betti vector of each face link as ``evidence``.
 
     Over Q the verdict is first taken over GF(2).  A GF(2) sphere or
     ball rests only on Betti vectors nonzero in at most one degree,
@@ -257,28 +255,26 @@ def classify(
     ranking every link over Q.  This holds in characteristic 0 only, so
     GF(p) for odd p ranks every link over GF(p).
     """
+    return _verdicts(K, spec)[-1]
+
+
+def _verdicts(K: SimplicialComplex, spec: FieldSpec) -> list[HomologyClass]:
+    """Every verdict one `classify` pass reaches, the last being the
+    answer: over Q the GF(2) verdict, then the Q verdict only when the
+    GF(2) one is `other`; one verdict otherwise."""
     if not K.is_pure():
-        return HomologyClass("other", K.dim, reduced_betti(K, spec))
+        return [HomologyClass("other", K.dim, reduced_betti(K, spec))]
     table = link_table(K)
     first = GF2 if spec.char == 0 else spec
     links = {f: _betti_of_faces(faces, first) for f, faces in table.items()}
-    hc = _verdict(K, table, links, first, with_evidence)
-    if first == spec or hc.kind != "other":
-        return hc
-    links = {
-        f: b if sum(1 for v in b.values if v) <= 1 else _betti_of_faces(table[f], QQ)
-        for f, b in links.items()
-    }
-    return _verdict(K, table, links, QQ, with_evidence)
-
-
-def _classify_gf2_and_q(K: SimplicialComplex) -> tuple[HomologyClass, HomologyClass]:
-    """``classify(K, GF2)`` and ``classify(K, QQ)``: the GF(2) verdict
-    is the Q one unless it is `other`."""
-    over_gf2 = classify(K, GF2)
-    if over_gf2.kind != "other":
-        return over_gf2, over_gf2
-    return over_gf2, classify(K, QQ)
+    out = [_verdict(K, table, links, first)]
+    if first != spec and out[0].kind == "other":
+        links = {
+            f: b if sum(1 for v in b.values if v) <= 1 else _betti_of_faces(table[f], QQ)
+            for f, b in links.items()
+        }
+        out.append(_verdict(K, table, links, QQ))
+    return out
 
 
 def _verdict(
@@ -286,7 +282,6 @@ def _verdict(
     table: dict[int, list[int]],
     links: dict[int, BettiVector],
     spec: FieldSpec,
-    with_evidence: bool,
 ) -> HomologyClass:
     """The `classify` verdict of a pure complex ``K`` from its
     `link_table` and the Betti vector over ``spec`` of every link.
@@ -299,12 +294,11 @@ def _verdict(
     """
     dim = K.dim
     betti_self = links[0]  # the link of the empty face is K itself
-    evidence = links if with_evidence else None
 
     if all(
         b.is_concentrated(dim - f.bit_count()) for f, b in links.items()
     ):
-        return HomologyClass("sphere", dim, betti_self, evidence=evidence)
+        return HomologyClass("sphere", dim, betti_self, evidence=links)
 
     ridges = [f for f, up in table.items() if f.bit_count() == dim and len(up) == 2]
     boundary = from_faces(K.labels, ridges)
@@ -316,10 +310,8 @@ def _verdict(
         _betti_of_faces(faces, spec).is_concentrated(dim - 1 - f.bit_count())
         for f, faces in link_table(boundary).items()
     ):
-        return HomologyClass(
-            "ball", dim, betti_self, boundary=boundary, evidence=evidence
-        )
-    return HomologyClass("other", dim, betti_self, evidence=evidence)
+        return HomologyClass("ball", dim, betti_self, boundary=boundary, evidence=links)
+    return HomologyClass("other", dim, betti_self, evidence=links)
 
 
 def interior_faces(K: SimplicialComplex, verdict: HomologyClass) -> frozenset[int]:

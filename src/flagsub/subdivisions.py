@@ -289,9 +289,6 @@ class SubdivisionMap:
         failures: list[tuple[str, str]] = []
         hs = vi = fl = True
 
-        def face_name(c: SimplicialComplex, m: int) -> str:
-            return ",".join(c.names(m)) if m else "()"
-
         # A face lies on the vertices of the restriction to F iff the
         # union u of its vertex carriers lies in F, and is missing from
         # the restriction iff its carrier does not: only faces carried
@@ -311,7 +308,7 @@ class SubdivisionMap:
             if fast and F in impure:
                 hs = False
                 failures.append(
-                    (face_name(self.base, F), "restriction not pure of full dimension")
+                    (_face_repr(self.base, F), "restriction not pure of full dimension")
                 )
                 continue
             reason = None
@@ -328,7 +325,7 @@ class SubdivisionMap:
                 reason = "carrier preimage is not the interior"
             if reason is not None:
                 hs = False
-                failures.append((face_name(self.base, F), reason))
+                failures.append((_face_repr(self.base, F), reason))
 
             # vertex-induced: restriction equals the induced subcomplex
             # on its own vertex set.
@@ -337,9 +334,9 @@ class SubdivisionMap:
                     vi = False
                     failures.append(
                         (
-                            face_name(self.total, E),
+                            _face_repr(self.total, E),
                             f"induced by vertices of the restriction to "
-                            f"{face_name(self.base, F)} but not carried into it",
+                            f"{_face_repr(self.base, F)} but not carried into it",
                         )
                     )
                     break
@@ -347,14 +344,14 @@ class SubdivisionMap:
             if F in not_flag:
                 fl = False
                 failures.append(
-                    (face_name(self.base, F), "restriction is not flag")
+                    (_face_repr(self.base, F), "restriction is not flag")
                 )
 
         witness = _quasi_geometric_witness(unions)
         if witness is not None:
             failures.append(
                 (
-                    face_name(self.total, witness),
+                    _face_repr(self.total, witness),
                     "vertex carriers fit inside a lower-dimensional base face",
                 )
             )

@@ -144,10 +144,10 @@ def sympy_reduced_betti(K: SimplicialComplex, char: int = 0) -> list[int]:
 
 
 def literal_classify(K: SimplicialComplex, spec: FieldSpec) -> HomologyClass:
-    """`classify(K, spec, with_evidence=True)` by the definition: each
-    link is built and ranked as ``reduced_betti(K.link(f), spec)``, the
-    boundary ridges are found by counting the facets that contain them,
-    and the boundary is classified by recursion."""
+    """`classify(K, spec)` by the definition, link evidence included:
+    each link is built and ranked as ``reduced_betti(K.link(f), spec)``,
+    the boundary ridges are found by counting the facets that contain
+    them, and the boundary is classified by recursion."""
     dim = K.dim
     if any(g.bit_count() != dim + 1 for g in K.facets):
         return HomologyClass("other", dim, reduced_betti(K, spec))

@@ -80,9 +80,10 @@ def test_mixed_moves_keep_flag_spheres():
     assert v.is_homology_subdivision and v.is_vertex_induced
 
 
-def test_size_guard_trips():
+def test_size_guard_trips(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_FACES", 5)
     with pytest.raises(MalformedInstance):
-        random_flag_sphere(GeneratorSpec(2, 3, seed=0), max_faces=5)
+        random_flag_sphere(GeneratorSpec(2, 3, seed=0))
 
 
 def test_size_guard_refuses_join_before_building_it(monkeypatch):
@@ -97,9 +98,10 @@ def test_size_guard_refuses_join_before_building_it(monkeypatch):
         return out
 
     monkeypatch.setattr(harness, "join_subdivision", spy)
+    monkeypatch.setattr(harness, "MAX_FACES", 5000)
     spec = GeneratorSpec(3, 75, 4, ("edge-subdivide", "join-with-S0"))
     with pytest.raises(MalformedInstance):
-        random_flag_sphere(spec, max_faces=5000)
+        random_flag_sphere(spec)
     assert sizes
     assert max(sizes) <= 5000
 

@@ -102,7 +102,7 @@ def test_link_evidence_matches_sympy_oracle():
     )
     for K, kind in ((sphere, "sphere"), (ball, "ball")):
         for spec in (GF2, QQ):
-            hc = classify(K, spec, with_evidence=True)
+            hc = classify(K, spec)
             assert hc.kind == kind
             assert list(hc.betti.values) == sympy_reduced_betti(K, spec.char)
             assert list(hc.evidence) == list(K.faces())
@@ -167,7 +167,7 @@ def test_classify_single_point():
 
 def test_classify_with_evidence():
     K = cross_polytope(2)
-    hc = classify(K, with_evidence=True)
+    hc = classify(K)
     assert hc.evidence is not None
     assert hc.evidence[0].values == (0, 0, 1)
 
@@ -240,7 +240,7 @@ def test_ball_reciprocity():
 
 
 def _direct_q(K):
-    """The oracle: `classify(K, QQ, with_evidence=True)` by the
+    """The oracle: `classify(K, QQ)` by the
     definition, every link ranked by the Q eliminator."""
     return literal_classify(K, QQ)
 
@@ -292,13 +292,13 @@ def _oracle_corpus():
 def test_q_verdicts_equal_the_direct_q_path():
     kinds = set()
     for K in _oracle_corpus():
-        got = classify(K, QQ, with_evidence=True)
+        got = classify(K, QQ)
         assert _as_data(got) == _as_data(_direct_q(K))
         assert list(got.evidence) == list(K.faces())
         kinds.add(got.kind)
     assert kinds == {"sphere", "ball", "other"}
     for K in _impure_set():
-        got = classify(K, QQ, with_evidence=True)
+        got = classify(K, QQ)
         assert _as_data(got) == _as_data(_direct_q(K))
         assert got.kind == "other" and got.evidence is None
         assert got.betti == reduced_betti(K, QQ)
@@ -308,7 +308,7 @@ def test_q_verdicts_equal_the_direct_q_path():
 def test_finite_field_verdicts_equal_the_literal_oracle(spec):
     kinds = set()
     for K in _oracle_corpus() + _impure_set():
-        got = classify(K, spec, with_evidence=True)
+        got = classify(K, spec)
         assert _as_data(got) == _as_data(literal_classify(K, spec))
         kinds.add(got.kind)
     assert kinds == {"sphere", "ball", "other"}
@@ -340,7 +340,7 @@ def test_q_eliminator_runs_only_where_torsion_is_possible(monkeypatch):
     assert classify(cross_polytope(4), QQ).is_sphere
     assert calls == []
     rp2 = projective_plane()
-    hc = classify(rp2, QQ, with_evidence=True)
+    hc = classify(rp2, QQ)
     assert calls and all(p == (0,) for p in calls)
     assert hc.kind == "other"
     assert hc.betti.values == (0, 0, 0, 0)
@@ -355,18 +355,36 @@ def test_q_eliminator_runs_only_where_torsion_is_possible(monkeypatch):
 def test_both_verdicts_of_a_ball_cost_one_gf2_pass(monkeypatch):
     K = random_simplex_subdivision(("a", "b", "c", "d"), 4, 3).total
     assert K.num_faces() == 56
-    entries = _spy(monkeypatch, "classify")
+    passes = _spy(monkeypatch, "_verdicts")
     gf2_ranks = _spy(monkeypatch, "_rank_gf2")
     q_ranks = _spy(monkeypatch, "_rank")
-    alone = homology.classify(K, GF2)
-    assert alone.is_ball and len(entries) == 1
+    alone = classify(K, GF2)
+    assert alone.is_ball and len(passes) == 1
     assert len(gf2_ranks) == 125
-    entries.clear()
     gf2_ranks.clear()
-    assert homology._classify_gf2_and_q(K) == (alone, alone)
-    assert len(entries) == 1
+    assert homology._verdicts(K, QQ) == [alone]
+    assert len(gf2_ranks) == 125
+    passes.clear()
+    gf2_ranks.clear()
+    assert _check_field_agreement(Instance(id="b", complex=K)) == CheckResult("pass")
+    assert len(passes) == 1
     assert len(gf2_ranks) == 125
     assert q_ranks == []
+
+
+def test_both_verdicts_of_a_gf2_other_cost_one_gf2_pass(monkeypatch):
+    gf2_ranks = _spy(monkeypatch, "_rank_gf2")
+    for K, ranks in zip(_torsion_set(), (30, 122, 92)):
+        gf2_ranks.clear()
+        assert classify(K, GF2).kind == "other"
+        assert len(gf2_ranks) == ranks
+        gf2_ranks.clear()
+        over_gf2, over_q = homology._verdicts(K, QQ)
+        assert over_gf2 == classify(K, GF2)
+        assert over_q == classify(K, QQ)
+        gf2_ranks.clear()
+        assert _check_field_agreement(Instance(id="t", complex=K)) == CheckResult("pass")
+        assert len(gf2_ranks) == ranks
 
 
 def test_odd_characteristic_never_ranks_over_gf2(monkeypatch):
