@@ -226,6 +226,9 @@ def _cmd_suite(args) -> int:
     checks = check_names(args.checks.split(","))
     if args.count < 0:
         raise MalformedInstance("count must be >= 0")
+    # Every sphere pair takes an edge step, and S^0 has no edge.
+    if args.dim < 2:
+        raise MalformedInstance("dim must be >= 2")
     # Open the report first, so that a bad path is refused before any
     # instance is generated.
     with _open_out(args.out) if args.out else contextlib.nullcontext() as fh:

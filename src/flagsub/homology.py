@@ -23,15 +23,34 @@ change a vector.  The bound runs one way only: GF(p) for odd p has no
 rank order against GF(2) (the projective plane has homology over GF(2)
 and none over GF(3)), so there every link is ranked directly.
 ``reduced_betti`` always ranks over the field it is given.
+
+``classify`` ranks a face link only where a rank can tell something.
+A link of dimension m <= 2 whose own links, the links of the larger
+faces, are all spheres is a closed manifold: a union of cycles or a
+closed surface.  It is a sphere iff it is two points (m = 0), is
+connected (m = 1), or is connected with V - E + F = 2 (m = 2), and it
+then gets its Betti vector, concentrated in degree m, with no rank and
+over any field (Munkres, §63, and the classification of surfaces).  So
+those links are walked from the largest faces down.  Links of dimension
+3 or more, links that fail the test and links below a link that failed
+are ranked, so every evidence vector equals the ranked one, and a
+3-sphere ranks only itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .complexes import SimplicialComplex, from_faces, iter_bits, link_table
+from .complexes import (
+    SimplicialComplex,
+    from_faces,
+    iter_bits,
+    iter_submasks,
+    link_table,
+)
 
 __all__ = [
     "FieldSpec",
@@ -207,6 +226,71 @@ def reduced_betti(K: SimplicialComplex, spec: FieldSpec = GF2) -> BettiVector:
     return _betti_of_faces(K.faces(), spec)
 
 
+#: The Betti vector of a homology m-sphere, at index m + 1, for the
+#: link dimensions -1 <= m <= 2 that `_link_bettis` decides without ranks.
+_LOW_SPHERES = tuple(BettiVector((0,) * (m + 1) + (1,)) for m in range(-1, 3))
+
+
+def _is_low_sphere(faces: list[int], m: int) -> bool:
+    """Whether ``faces``, in (card, mask) order and spanning a closed
+    homology m-manifold with m <= 2, is a sphere: for m = -1 always;
+    for m = 0 iff it is two points; for m = 1, a union of cycles, iff
+    it is connected; for m = 2, a closed surface, iff it is connected
+    and V - E + F = 2."""
+    if m < 1:
+        return m < 0 or len(faces) == 3
+    edges = bisect_left(faces, 2, key=int.bit_count)
+    triangles = bisect_left(faces, 3, edges, key=int.bit_count)
+    if m == 2 and edges - 1 - (triangles - edges) + (len(faces) - triangles) != 2:
+        return False
+    # Grow the component of the first vertex by sweeping the edges until
+    # a sweep adds nothing; edges in mask order mostly take one sweep.
+    seen, before = faces[1], 0
+    while seen != before:
+        before = seen
+        for e in faces[edges:triangles]:
+            if e & seen:
+                seen |= e
+    return seen.bit_count() == edges - 1
+
+
+def _link_bettis(
+    table: dict[int, list[int]], spec: FieldSpec
+) -> Iterator[tuple[int, BettiVector]]:
+    """Yield ``(f, b)`` for every face f of a pure complex, from its
+    `link_table`, with b the Betti vector over ``spec`` of lk f.
+
+    Let m = dim lk f.  Each link of lk f is the link of a larger face,
+    so when every larger face has a link concentrated in its top degree,
+    lk f is a closed homology m-manifold, and for m <= 2 a closed
+    manifold that `_is_low_sphere` tells from a sphere without a rank
+    (see the module docstring).  A sphere found so gets its true vector.
+    Every other link is ranked, and one not concentrated in degree m
+    blocks the test on every face inside f.
+
+    The links with m >= 3 lead the table and feed no test, so they come
+    first, ranked in face order; the rest follow largest faces first.  A
+    caller that stops at the first vector it rejects thus ranks the
+    links with m >= 3 as a walk in face order would, and below them at
+    most the one link it rejects.
+    """
+    items = list(table.items())
+    dim = items[0][1][-1].bit_count() - 1
+    low = bisect_left(items, dim - 2, key=lambda item: item[0].bit_count())
+    for f, faces in items[:low]:
+        yield f, _betti_of_faces(faces, spec)
+    blocked: set[int] = set()
+    for f, faces in reversed(items[low:]):
+        m = faces[-1].bit_count() - 1
+        if f not in blocked and _is_low_sphere(faces, m):
+            yield f, _LOW_SPHERES[m + 1]
+            continue
+        b = _betti_of_faces(faces, spec)
+        if not b.is_concentrated(m):
+            blocked.update(iter_submasks(f))
+        yield f, b
+
+
 @dataclass(frozen=True)
 class HomologyClass:
     """Sphere / ball / other verdict with the certifying data.
@@ -254,6 +338,12 @@ def classify(K: SimplicialComplex, spec: FieldSpec = GF2) -> HomologyClass:
     degrees (see the module docstring).  Either way the result equals
     ranking every link over Q.  This holds in characteristic 0 only, so
     GF(p) for odd p ranks every link over GF(p).
+
+    Over every field, a link of dimension at most 2 whose own links are
+    all spheres is a closed manifold, and is certified a sphere with no
+    rank: two points, a connected union of cycles, or a connected closed
+    surface with V - E + F = 2 (Munkres, §63, and the classification of
+    surfaces).  Its evidence is the vector a rank would give.
     """
     return _verdicts(K, spec)[-1]
 
@@ -266,7 +356,8 @@ def _verdicts(K: SimplicialComplex, spec: FieldSpec) -> list[HomologyClass]:
         return [HomologyClass("other", K.dim, reduced_betti(K, spec))]
     table = link_table(K)
     first = GF2 if spec.char == 0 else spec
-    links = {f: _betti_of_faces(faces, first) for f, faces in table.items()}
+    found = dict(_link_bettis(table, first))
+    links = {f: found[f] for f in table}
     out = [_verdict(K, table, links, first)]
     if first != spec and out[0].kind == "other":
         links = {
@@ -288,9 +379,10 @@ def _verdict(
 
     A ridge R lies in exactly one facet iff its link is one vertex,
     ``len(table[R]) == 2``.  The boundary those ridges span is pure, and
-    its links are ranked over ``spec`` only after the links of ``K``
-    pass.  With no such ridge the boundary is {∅}, whose one link is
-    concentrated in degree -1 = dim - 1 exactly when dim = 0.
+    its links are read through `_link_bettis` over ``spec`` only after
+    the links of ``K`` pass, stopping at the first that fails.  With no
+    such ridge the boundary is {∅}, whose one link is concentrated in
+    degree -1 = dim - 1 exactly when dim = 0.
     """
     dim = K.dim
     betti_self = links[0]  # the link of the empty face is K itself
@@ -307,8 +399,8 @@ def _verdict(
         b.is_zero() if f in bset else b.is_concentrated(dim - f.bit_count())
         for f, b in links.items()
     ) and all(
-        _betti_of_faces(faces, spec).is_concentrated(dim - 1 - f.bit_count())
-        for f, faces in link_table(boundary).items()
+        b.is_concentrated(dim - 1 - f.bit_count())
+        for f, b in _link_bettis(link_table(boundary), spec)
     ):
         return HomologyClass("ball", dim, betti_self, boundary=boundary, evidence=links)
     return HomologyClass("other", dim, betti_self, evidence=links)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 Everything is exact integer arithmetic; every tolerance is zero.
 """
 
+import itertools
 import time
 
 from flagsub.complexes import (
@@ -57,6 +58,16 @@ def letters(d, offset=0):
     return tuple(chr(97 + offset + i) for i in range(d))
 
 
+def derangement_polynomial(d):
+    """Sum of x**exc(w) over the derangements w of range(d), where
+    exc(w) counts the i with w(i) > i."""
+    coeffs = [0] * d
+    for w in itertools.permutations(range(d)):
+        if all(w[i] != i for i in range(d)):
+            coeffs[sum(1 for i in range(d) if w[i] > i)] += 1
+    return IntPolynomial(coeffs)
+
+
 def test_criterion_1_paper_value_goldens():
     t0 = time.perf_counter()
     assert example_complexes("ex-2.3a").local_h() == IntPolynomial([0, 0, -1])
@@ -71,6 +82,14 @@ def test_criterion_1_paper_value_goldens():
     for d in range(1, 5):
         xi = trivial_subdivision(simplex(letters(d))).local_gamma()
         assert all(c == 0 for c in xi.coeffs)
+    # The barycentric subdivision of the (d-1)-simplex has the derangement
+    # polynomial as local h (Stanley, JAMS 1992, Prop. 2.4).
+    xi = {4: [0, 1, 5], 5: [0, 1, 18], 6: [0, 1, 47, 61]}
+    for d in range(1, 7):
+        s = barycentric_subdivision(letters(d))
+        assert s.local_h() == derangement_polynomial(d)
+        if d in xi:
+            assert s.local_gamma().to_list() == xi[d]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nCRITERION 1 (paper-value goldens, exact): PASS in {elapsed:.3f}s")

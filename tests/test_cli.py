@@ -298,6 +298,25 @@ def test_suite_out_to_a_bad_path_exits_3_before_generating(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_suite_dims_below_two_are_refused_before_generating(
+    capsys, monkeypatch, tmp_path
+):
+    # --dim 1 exited 3 only after generating, --dim 0 after the report
+    # was opened, and both left an empty --out file behind.
+    def refuse(args):
+        raise AssertionError("generated instances for a refused dimension")
+
+    monkeypatch.setattr(cli, "_suite_instances", refuse)
+    path = tmp_path / "report.json"
+    for dim in ("1", "0", "-3"):
+        argv = ["suite", "--checks", "gal", "--dim", dim, "--out", str(path)]
+        assert main(argv) == 3, dim
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dim must be >= 2\n"
+    assert not path.exists()
+
+
 #: ``--field`` values that are not a field this package computes over.
 BAD_FIELDS = ["gf4", "gfabc", "gf-3", "gf0", "gf1", "X", "gf", "GF2",
               "gf1000000000000000000000000000057", "gf2147483648"]

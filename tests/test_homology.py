@@ -2,10 +2,13 @@ import argparse
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagsub import homology
 from flagsub.cli import _suite_instances
 from flagsub.complexes import (
+    SimplicialComplex,
     cross_polytope,
     from_facets,
     link_table,
@@ -360,21 +363,21 @@ def test_both_verdicts_of_a_ball_cost_one_gf2_pass(monkeypatch):
     q_ranks = _spy(monkeypatch, "_rank")
     alone = classify(K, GF2)
     assert alone.is_ball and len(passes) == 1
-    assert len(gf2_ranks) == 125
+    assert len(gf2_ranks) == 76
     gf2_ranks.clear()
     assert homology._verdicts(K, QQ) == [alone]
-    assert len(gf2_ranks) == 125
+    assert len(gf2_ranks) == 76
     passes.clear()
     gf2_ranks.clear()
     assert _check_field_agreement(Instance(id="b", complex=K)) == CheckResult("pass")
     assert len(passes) == 1
-    assert len(gf2_ranks) == 125
+    assert len(gf2_ranks) == 76
     assert q_ranks == []
 
 
 def test_both_verdicts_of_a_gf2_other_cost_one_gf2_pass(monkeypatch):
     gf2_ranks = _spy(monkeypatch, "_rank_gf2")
-    for K, ranks in zip(_torsion_set(), (30, 122, 92)):
+    for K, ranks in zip(_torsion_set(), (3, 10, 65)):
         gf2_ranks.clear()
         assert classify(K, GF2).kind == "other"
         assert len(gf2_ranks) == ranks
@@ -414,3 +417,135 @@ def test_field_agreement_is_unchanged():
     for inst in instances:
         assert _check_field_agreement(inst) == direct(inst.complex)
     assert _check_field_agreement(Instance(id="none")) == CheckResult("skipped")
+
+
+# -- links of dimension <= 2 certified without ranks -----------------------
+
+
+def _grid_surface(n, twist):
+    """The n-by-n grid of squares, each cut along one diagonal, with
+    opposite sides glued: a torus, or a Klein bottle when the gluing of
+    the last column to the first is twisted."""
+
+    def v(i, j):
+        if i == n:
+            i, j = 0, -j if twist else j
+        return f"{i},{j % n}"
+
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            corner, diagonal = v(i, j), v(i + 1, j + 1)
+            facets += [[corner, v(i + 1, j), diagonal], [corner, v(i, j + 1), diagonal]]
+    return from_facets(sorted({x for f in facets for x in f}), facets)
+
+
+def _disjoint(K, L):
+    labels = tuple("a" + x for x in K.labels) + tuple("b" + x for x in L.labels)
+    shift = len(K.labels)
+    return SimplicialComplex(labels, list(K.facets) + [g << shift for g in L.facets])
+
+
+def _octahedron(names):
+    return [[a, b, c] for a in names[0:2] for b in names[2:4] for c in names[4:6]]
+
+
+def _non_manifolds():
+    """Pure and impure complexes where a rank-free link test that skips
+    one of its preconditions gives the wrong vector."""
+    theta = from_facets("xyabc", [[x, m] for x in "xy" for m in "abc"])
+    surfaces = [_grid_surface(3, False), _grid_surface(4, True), projective_plane()]
+    out = [
+        from_facets("abcde", [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]),
+        theta.cone("v"),
+        theta.join(sphere_zero("n", "s")),
+        from_facets("abcdefghijk", _octahedron("abcdef") + _octahedron("aghijk")),
+        _disjoint(sphere_zero("p", "q"), sphere_zero("p", "q")),
+        _disjoint(cross_polytope(2), cross_polytope(2)),
+        _disjoint(cross_polytope(3), cross_polytope(3)),
+        _disjoint(cross_polytope(4), cross_polytope(2)),
+    ]
+    for S in surfaces:
+        out += [S, S.cone("apex"), S.join(sphere_zero("n", "s"))]
+    return out
+
+
+def _assert_literal(K):
+    for spec in (GF2, FieldSpec.gf(3), QQ):
+        assert _as_data(classify(K, spec)) == _as_data(literal_classify(K, spec))
+
+
+def test_closed_surfaces_have_their_homology():
+    torus, klein = _grid_surface(3, False), _grid_surface(4, True)
+    for K, gf2, q in (
+        (torus, (0, 0, 2, 1), (0, 0, 2, 1)),
+        (klein, (0, 0, 2, 1), (0, 0, 1, 0)),
+    ):
+        assert sympy_reduced_betti(K, 2) == list(gf2)
+        assert sympy_reduced_betti(K, 0) == list(q)
+        # Every edge lies in two triangles and every vertex link is a circle.
+        table = link_table(K)
+        assert all(len(table[f]) == 3 for f in K.faces() if f.bit_count() == 2)
+        assert all(
+            reduced_betti(K.link(f)).is_concentrated(1)
+            for f in K.faces()
+            if f.bit_count() == 1
+        )
+
+
+def test_non_manifolds_equal_the_literal_oracle():
+    for K in _non_manifolds():
+        _assert_literal(K)
+
+
+_MANIFOLDS = [
+    cross_polytope(3),
+    cross_polytope(4),
+    _grid_surface(3, False),
+    projective_plane(),
+]
+
+
+@st.composite
+def _pure_complexes(draw):
+    """Random pure complexes, or random facet subsets of a manifold;
+    either one suspended or not."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        k = draw(st.integers(1, min(n, 4)))
+        cards = [g for g in range(1 << n) if g.bit_count() == k]
+        facets = st.lists(st.sampled_from(cards), min_size=1, max_size=12, unique=True)
+        K = SimplicialComplex(tuple(f"v{i}" for i in range(n)), draw(facets))
+    else:
+        M = draw(st.sampled_from(_MANIFOLDS))
+        facets = st.lists(st.sampled_from(sorted(M.facets)), min_size=1, unique=True)
+        K = SimplicialComplex(M.labels, draw(facets))
+    if draw(st.booleans()):
+        K = K.join(sphere_zero("n", "s"))
+    return K
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pure_complexes())
+def test_rank_free_links_equal_the_literal_oracle(K):
+    _assert_literal(K)
+
+
+def test_a_suite_sphere_ranks_only_itself(monkeypatch):
+    ranked = []
+    real = homology._betti_of_faces
+
+    def spy(faces, spec):
+        ranked.append(list(faces))
+        return real(faces, spec)
+
+    monkeypatch.setattr(homology, "_betti_of_faces", spy)
+    q_ranks = _spy(monkeypatch, "_rank")
+    for inst in _suite_instances(argparse.Namespace(count=4, dim=4, seed=0)):
+        for K in (inst.complex, inst.pair.total):
+            for spec in (GF2, QQ):
+                ranked.clear()
+                assert classify(K, spec).is_sphere
+                # The link of the empty face is K itself.
+                assert ranked == [list(K.faces())]
+    assert q_ranks == []
