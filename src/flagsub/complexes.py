@@ -56,8 +56,7 @@ class SimplicialComplex:
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise UnknownVertex("ground set labels must be distinct")
+        index = _label_index(labels)
         facets: set[int] = set()
         faces: set[int] = set()
         for g in sorted(set(facet_masks), key=int.bit_count, reverse=True):
@@ -67,7 +66,9 @@ class SimplicialComplex:
         if not facets:
             facets.add(0)
             faces.add(0)
-        self._fill(labels, facets, faces, sorted(sorted(faces), key=int.bit_count))
+        self._fill(
+            labels, index, facets, faces, sorted(sorted(faces), key=int.bit_count)
+        )
 
     @classmethod
     def _from_ordered(
@@ -75,14 +76,15 @@ class SimplicialComplex:
     ) -> "SimplicialComplex":
         """A complex from its facet antichain and its full face list in
         (card, mask) order, taken as given.  Only library code that
-        produced both lists itself, on distinct labels, may call this."""
+        produced both lists itself may call this."""
         self = cls.__new__(cls)
-        self._fill(labels, set(facets), set(faces), faces)
+        self._fill(labels, _label_index(labels), set(facets), set(faces), faces)
         return self
 
     def _fill(
         self,
         labels: tuple[str, ...],
+        index: dict[str, int],
         facets: set[int],
         faces: set[int],
         ordered: Sequence[int],
@@ -90,7 +92,7 @@ class SimplicialComplex:
         # A frozenset copied from a set is sized for its contents; one
         # built from a sequence keeps the slack of incremental growth.
         self.labels = labels
-        self._index = {name: i for i, name in enumerate(labels)}
+        self._index = index
         self.facets = frozenset(facets)
         self._faces = tuple(ordered)
         self._face_set = frozenset(faces)
@@ -100,13 +102,7 @@ class SimplicialComplex:
 
     def mask(self, names: Iterable[str]) -> int:
         """Bitmask of a vertex-name collection."""
-        m = 0
-        for name in names:
-            try:
-                m |= 1 << self._index[name]
-            except KeyError:
-                raise UnknownVertex(f"unknown vertex {name!r}") from None
-        return m
+        return _mask(self._index, names)
 
     def names(self, mask: int) -> tuple[str, ...]:
         """Vertex names of a face mask, in label order."""
@@ -246,7 +242,34 @@ class SimplicialComplex:
         return self._mnf
 
     def is_flag(self) -> bool:
-        return all(m.bit_count() == 2 for m in self.minimal_non_faces())
+        """Whether every clique of the graph is a face, that is, every
+        minimal non-face has two vertices.
+
+        A clique of three or more vertices is a smaller clique plus a
+        common neighbour of its vertices above its top vertex, so by
+        induction on size it suffices that every such extension of a
+        face is a face.  The faces are walked in (card, mask) order, the
+        common neighbourhood of each built from the face without its
+        lowest vertex, and the walk stops at the first extension that is
+        not a face.  Minimal non-faces already listed are read instead.
+        """
+        if self._mnf is not None:
+            return all(m.bit_count() == 2 for m in self._mnf)
+        at = card_offsets(self._faces, 2)
+        common: dict[int, int] = {}
+        for f in self._faces[at[2] : at[3]]:
+            a = f & -f
+            common[a] = common.get(a, 0) | (f ^ a)
+            common[f ^ a] = common.get(f ^ a, 0) | a
+        adjacent = common.copy()
+        for face in self._faces[at[2] :]:
+            low = face & -face
+            reach = common[face] = common[face ^ low] & adjacent[low]
+            top = face.bit_length()
+            for i in iter_bits(reach >> top):
+                if face | (1 << (top + i)) not in self._face_set:
+                    return False
+        return True
 
 
 def face_counts(faces: Iterable[int]) -> list[int]:
@@ -284,6 +307,23 @@ def card_offsets(faces: Sequence[int], top: int) -> list[int]:
     return [bisect_left(faces, k, key=int.bit_count) for k in range(top + 2)]
 
 
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    index = {name: i for i, name in enumerate(labels)}
+    if len(index) != len(labels):
+        raise UnknownVertex("ground set labels must be distinct")
+    return index
+
+
+def _mask(index: dict[str, int], names: Iterable[str]) -> int:
+    m = 0
+    for name in names:
+        try:
+            m |= 1 << index[name]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex {name!r}") from None
+    return m
+
+
 def _translate(mask: int, table: dict[int, int]) -> int:
     out = 0
     for i in iter_bits(mask):
@@ -306,8 +346,8 @@ def from_facets(
         raise GroundSetTooLarge(
             f"{len(labels)} labels exceed the width limit {max_vertices}"
         )
-    probe = SimplicialComplex(labels, [0])
-    return SimplicialComplex(labels, [probe.mask(g) for g in generators])
+    index = _label_index(labels)
+    return SimplicialComplex(labels, [_mask(index, g) for g in generators])
 
 
 def from_faces(labels: Iterable[str], face_masks: Iterable[int]) -> SimplicialComplex:

@@ -14,8 +14,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import SimplicialComplex, card_offsets, cross_polytope, sphere_zero
-from .errors import FlagsubError, MalformedInstance
+from .complexes import (
+    SimplicialComplex,
+    card_offsets,
+    cross_polytope,
+    iter_bits,
+    simplex,
+    sphere_zero,
+)
+from .errors import FlagsubError, MalformedInstance, VertexCollision
 from .polynomials import (
     GammaVector,
     SymmetryFailure,
@@ -24,12 +31,11 @@ from .polynomials import (
 )
 from .subdivisions import (
     SubdivisionMap,
+    _gamma_terms,
     _relative_local_h_table,
+    barycenter_name,
     check_h_decomposition,
     check_locality,
-    compose,
-    edge_subdivision,
-    join_subdivision,
     trivial_subdivision,
 )
 
@@ -68,38 +74,189 @@ def _size_guard(num_faces: int) -> None:
         raise MalformedInstance(f"instance exceeded {MAX_FACES} faces; refuse to continue")
 
 
-def _cross_polytope_trail(dimension: int) -> SubdivisionMap:
+def _cross_polytope_start(dimension: int) -> SimplicialComplex:
     # 3**dimension faces; past the cap's bit length 2**d alone exceeds it.
     _size_guard(3 ** min(dimension, MAX_FACES.bit_length()))
-    return trivial_subdivision(cross_polytope(dimension))
+    return cross_polytope(dimension)
+
+
+def _clique_count(adj: list[int], within: int) -> int:
+    """The cliques of the graph ``adj`` inside the vertex mask
+    ``within``, the empty one included, each counted from its lowest
+    vertex."""
+    count = 1
+    while within:
+        low = within & -within
+        within ^= low
+        count += _clique_count(adj, within & adj[low.bit_length() - 1])
+    return count
+
+
+def _nth_edge(adj: list[int], r: int) -> tuple[int, int]:
+    """The vertices i < j of the edge at index ``r`` in mask order, which
+    sorts edges by j, then by i."""
+    for j, nbrs in enumerate(adj):
+        below = nbrs & ((1 << j) - 1)
+        k = below.bit_count()
+        if r < k:
+            for _ in range(r):
+                below &= below - 1
+            return (below & -below).bit_length() - 1, j
+        r -= k
+
+
+def _cliques_into(
+    found: dict[int, int],
+    adj: list[int],
+    carriers: list[int],
+    face: int,
+    carrier: int,
+    below: int,
+) -> None:
+    """File ``face`` and every clique that grows it by vertices of
+    ``below`` in ``found``, with the union of their vertex carriers.
+    ``below`` holds the common neighbours that may follow the vertices
+    of ``face`` in increasing order, so each clique is found once."""
+    found[face] = carrier
+    while below:
+        low = below & -below
+        below ^= low
+        i = low.bit_length() - 1
+        up = below & adj[i]
+        _cliques_into(found, adj, carriers, face | low, carrier | carriers[i], up)
+
+
+def _clique_trail(
+    K: SimplicialComplex,
+    labels: tuple[str, ...],
+    adj: list[int],
+    carriers: list[int],
+    base: SimplicialComplex,
+    removed: list[int],
+) -> SubdivisionMap:
+    """The clique complex of the graph ``adj`` on ``labels``, carried onto
+    ``base`` by the unions of the vertex ``carriers``, for a trail grown
+    from the trivial subdivision of ``K``, whose vertices come first.
+
+    A clique on the vertices of K is a face of K with none of the
+    ``removed`` edges of K, and keeps its own carrier.  Every other
+    clique has a new top vertex w, and is w with a clique of the
+    neighbours of w below it.  So each cardinality lists the kept faces
+    of K, then the new cliques by top vertex, in (card, mask) order.
+    Both moves keep a pure complex pure, so the facets are the faces of
+    the top cardinality.
+    """
+    n0 = len(K.labels)
+    kept = K.faces()
+    for e in removed:
+        kept = [f for f in kept if f & e != e]
+    found: dict[int, int] = {}
+    for w in range(n0, len(labels)):
+        below = adj[w] & ((1 << w) - 1)
+        _cliques_into(found, adj, carriers, 1 << w, carriers[w], below)
+    new = sorted(found)
+    new.sort(key=int.bit_count)
+    # New faces are carried onto the base's own face objects, which the
+    # map then shares instead of holding a new integer for each face.
+    needed = set(found.values())
+    onto = {F: F for F in base.faces() if F in needed}
+    top = max(kept[-1].bit_count(), new[-1].bit_count())
+    at_kept = card_offsets(kept, top)
+    at_new = card_offsets(new, top)
+    faces: list[int] = []
+    carrier: dict[int, int] = {}
+    for k in range(top + 1):
+        old = kept[at_kept[k] : at_kept[k + 1]]
+        grown = new[at_new[k] : at_new[k + 1]]
+        faces += old
+        faces += grown
+        carrier.update(zip(old, old))
+        grown_onto = map(onto.__getitem__, map(found.__getitem__, grown))
+        carrier.update(zip(grown, grown_onto))
+    facets = faces[at_kept[top] + at_new[top] :]
+    total = SimplicialComplex._from_ordered(labels, facets, faces)
+    return SubdivisionMap._from_valid(total, base, carrier)
 
 
 def _grow(
-    s: SubdivisionMap, steps: int, rng: random.Random, moves=None
+    K: SimplicialComplex, steps: int, rng: random.Random, moves=None
 ) -> SubdivisionMap:
-    """``s`` composed with ``steps`` random moves on its total.  With
-    ``moves`` given, each step draws one, even from a single move; else
-    each step is an edge subdivision and draws only the edge."""
+    """The trivial subdivision of ``K``, a pure flag complex whose every
+    label is a vertex, composed with ``steps`` random moves on its total.
+    With ``moves`` given, each step draws one, even from a single move;
+    else each step is an edge subdivision and draws only the edge,
+    uniformly from the edges in (card, mask) order.
+
+    Both moves keep the total flag: subdividing the edge uv by a new
+    vertex w drops uv and joins w to u, v and their common neighbours,
+    and a join with S^0 adds two vertices joined to every old vertex.
+    So the trail is carried as its graph (adjacency bitmasks), its
+    labels and one carrier per vertex; the total is the clique complex
+    of that graph, and every face is carried onto the union of its
+    vertex carriers, as the composite of the stellar maps and joins
+    carries it.  `_clique_trail` builds the map once, at the end.
+
+    The size guard reads the exact face count after each step.
+    Subdividing uv replaces the star of uv by w joined with its rim,
+    which adds 2 f(lk uv) faces; lk uv is the clique complex of the
+    common neighbourhood of u and v, and f counts the empty face.  A
+    join triples the count.  So a step beyond `MAX_FACES` is refused
+    before any complex of that size is built.
+    """
     if steps < 0:
         raise MalformedInstance("steps must be >= 0")
+    if steps == 0:
+        return trivial_subdivision(K)
+    base = K
+    labels = list(K.labels)
+    taken = set(labels)
+    adj = [0] * len(labels)
+    at = card_offsets(K.faces(), 2)
+    for e in K.faces()[at[2] : at[3]]:
+        a = e & -e
+        adj[a.bit_length() - 1] |= e ^ a
+        adj[e.bit_length() - 1] |= a
+    carriers = [1 << i for i in range(len(labels))]
+    removed: list[int] = []
+    edges = at[3] - at[2]
+    count = K.num_faces()
     for _ in range(steps):
-        K = s.total
         move = EDGE_SUBDIVIDE if moves is None else moves[rng.randrange(len(moves))]
         if move == EDGE_SUBDIVIDE:
-            at = card_offsets(K.faces(), 2)
-            edges = K.faces()[at[2] : at[3]]
             if not edges:
                 raise MalformedInstance("complex has no edges to subdivide")
-            s = compose(s, edge_subdivision(K, edges[rng.randrange(len(edges))]))
+            i, j = _nth_edge(adj, rng.randrange(edges))
+            name = barycenter_name((labels[i], labels[j]))
+            if name in taken:
+                raise VertexCollision(f"label {name!r} already present")
+            common = adj[i] & adj[j]
+            count += 2 * _clique_count(adj, common)
+            _size_guard(count)
+            if j < len(K.labels):
+                removed.append(1 << i | 1 << j)
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            star = common | 1 << i | 1 << j
+            for b in iter_bits(star):
+                adj[b] |= 1 << len(labels)
+            adj.append(star)
+            carriers.append(carriers[i] | carriers[j])
+            labels.append(name)
+            taken.add(name)
+            edges += 1 + common.bit_count()
         else:
-            # The join with a two-point sphere has exactly three times
-            # the faces, so refuse before building it.
-            _size_guard(3 * K.num_faces())
-            k = len(s.base.labels) // 2 + 1
-            s0 = sphere_zero(f"u{k}", f"v{k}")
-            s = join_subdivision(s, trivial_subdivision(s0))
-        _size_guard(s.total.num_faces())
-    return s
+            count *= 3
+            _size_guard(count)
+            k = len(base.labels) // 2 + 1
+            pair = (f"u{k}", f"v{k}")
+            old = (1 << len(labels)) - 1
+            adj = [nbrs | 3 << len(labels) for nbrs in adj] + [old, old]
+            carriers += [1 << len(base.labels), 2 << len(base.labels)]
+            base = base.join(sphere_zero(*pair))
+            edges += 2 * len(labels)
+            labels += pair
+            taken.update(pair)
+    return _clique_trail(K, tuple(labels), adj, carriers, base, removed)
 
 
 def random_flag_sphere(spec: GeneratorSpec) -> tuple[SimplicialComplex, SubdivisionMap]:
@@ -109,12 +266,14 @@ def random_flag_sphere(spec: GeneratorSpec) -> tuple[SimplicialComplex, Subdivis
     Starts from the boundary of the ``dimension``-dimensional
     cross-polytope and applies ``steps`` uniformly random moves; edge
     subdivisions and joins with two-point spheres both preserve the
-    flag-sphere class.  Identical specs yield identical outputs.  A
-    start or a step beyond `MAX_FACES` total faces raises
-    `MalformedInstance`; a join is refused before it is built.
+    flag-sphere class, so the trail is grown on the graph and its total
+    built once as a clique complex (see `_grow`).  Identical specs yield
+    identical outputs.  A start or a step beyond `MAX_FACES` total faces
+    raises `MalformedInstance`, from the exact face count and before a
+    complex of that size is built.
     """
     rng = random.Random(spec.seed)
-    trail = _grow(_cross_polytope_trail(spec.dimension), spec.steps, rng, spec.moves)
+    trail = _grow(_cross_polytope_start(spec.dimension), spec.steps, rng, spec.moves)
     return trail.total, trail
 
 
@@ -124,9 +283,7 @@ def random_simplex_subdivision(
     """Iterated random edge subdivisions of the trivial subdivision of a
     simplex.  Always geometric, hence flag, vertex-induced and
     quasi-geometric."""
-    from .complexes import simplex
-
-    return _grow(trivial_subdivision(simplex(vertices)), steps, random.Random(seed))
+    return _grow(simplex(vertices), steps, random.Random(seed))
 
 
 def random_sphere_pair(
@@ -138,8 +295,8 @@ def random_sphere_pair(
     cross-polytope boundary; the total applies ``extra_steps`` more.
     """
     rng = random.Random(seed)
-    K = _grow(_cross_polytope_trail(dimension), pre_steps, rng).total
-    return _grow(trivial_subdivision(K), extra_steps, rng)
+    K = _grow(_cross_polytope_start(dimension), pre_steps, rng).total
+    return _grow(K, extra_steps, rng)
 
 
 # -- check suite -------------------------------------------------------------
@@ -194,6 +351,12 @@ def _gamma_or_none(K: SimplicialComplex) -> GammaVector | None:
     return None if isinstance(g, SymmetryFailure) else g
 
 
+def _coords(g: GammaVector | SymmetryFailure) -> list[int] | dict:
+    if isinstance(g, SymmetryFailure):
+        return {"symmetry_failure": g.to_dict()}
+    return g.to_list()
+
+
 def _check_gal(inst: Instance) -> CheckResult:
     if inst.complex is None:
         return CheckResult("skipped")
@@ -223,8 +386,23 @@ def _check_monotonicity(inst: Instance) -> CheckResult:
         return CheckResult("fail", {"reason": "gamma undefined on one side"})
     if g_total >= g_base:
         return CheckResult("pass")
+    # γ(total) − γ(base) is the sum of the terms ξ(Δ_F)·γ(lk F), so
+    # they show which base faces make it negative.
+    terms = [
+        {
+            "face": list(inst.pair.base.names(F)),
+            "xi": _coords(xi),
+            "gamma_link": _coords(g_link),
+        }
+        for F, xi, g_link in _gamma_terms(inst.pair)
+    ]
     return CheckResult(
-        "fail", {"gamma_base": g_base.to_list(), "gamma_total": g_total.to_list()}
+        "fail",
+        {
+            "gamma_base": g_base.to_list(),
+            "gamma_total": g_total.to_list(),
+            "terms": terms,
+        },
     )
 
 

@@ -658,6 +658,35 @@ def check_h_decomposition(s: SubdivisionMap) -> DecompositionCheck:
     return DecompositionCheck(h_lhs, h_rhs, g_lhs.polynomial(), g_rhs)
 
 
+def _gamma_terms(
+    s: SubdivisionMap,
+) -> list[tuple[int, GammaVector | SymmetryFailure, GammaVector | SymmetryFailure]]:
+    """The terms of γ(total) − γ(base) = Σ over nonempty base faces F of
+    ξ(Δ_F)·γ(lk F), the γ form of `check_h_decomposition` without its
+    F = ∅ term, as (F, ξ(Δ_F), γ(lk F)) in base face order.
+
+    Only the F with nonzero local h are listed (see
+    `_restricted_local_h`); each of them has a nonzero term, as ξ is
+    nonzero with l_F and γ(lk F) starts with h_0 = 1.  A factor whose
+    polynomial is not symmetric is given as its `SymmetryFailure`.
+    """
+    links = link_table(s.base)
+    d = s.base.dim + 1
+    terms = []
+    for F, ell in _restricted_local_h(s, links).items():
+        if F:
+            counts = face_counts(links[F])
+            h_link = h_from_face_counts(counts, len(counts) - 1)
+            terms.append(
+                (
+                    F,
+                    gamma_from_symmetric(ell, F.bit_count()),
+                    gamma_from_symmetric(h_link, d - F.bit_count()),
+                )
+            )
+    return terms
+
+
 def check_locality(outer: SubdivisionMap, inner: SubdivisionMap) -> LocalityCheck:
     """Local h of a composed subdivision against the locality face sum
     over the faces E of the outer total of l_E(inner) times the relative

@@ -11,9 +11,21 @@ import sympy
 from sympy import GF, QQ, Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from flagsub.complexes import SimplicialComplex, iter_bits, iter_submasks
+from flagsub.complexes import (
+    SimplicialComplex,
+    card_offsets,
+    iter_bits,
+    iter_submasks,
+    sphere_zero,
+)
 from flagsub.homology import GF2, FieldSpec, HomologyClass, reduced_betti
-from flagsub.subdivisions import SubdivisionMap
+from flagsub.subdivisions import (
+    SubdivisionMap,
+    compose,
+    edge_subdivision,
+    join_subdivision,
+    trivial_subdivision,
+)
 
 x = symbols("x")
 
@@ -312,3 +324,29 @@ def literal_full_verdict(s: SubdivisionMap) -> dict:
     each restriction is classified by `literal_classify`, and its
     interior is its faces minus that verdict's boundary."""
     return _literal_verdict(s, fast=False)
+
+
+def oracle_trail(
+    K: SimplicialComplex, steps: int, rng, moves=None, sizes=None
+) -> SubdivisionMap:
+    """The random trail of `harness._grow`, built step by step with the
+    public constructors: each step composes the map with an edge
+    subdivision of its total, or joins it with the trivial subdivision
+    of a two-point sphere.  The moves and edges are drawn with the same
+    calls on ``rng``, and the total's face count after each step is
+    appended to ``sizes``."""
+    s = trivial_subdivision(K)
+    for _ in range(steps):
+        K = s.total
+        move = "edge-subdivide" if moves is None else moves[rng.randrange(len(moves))]
+        if move == "edge-subdivide":
+            at = card_offsets(K.faces(), 2)
+            edges = K.faces()[at[2] : at[3]]
+            s = compose(s, edge_subdivision(K, edges[rng.randrange(len(edges))]))
+        else:
+            k = len(s.base.labels) // 2 + 1
+            s0 = sphere_zero(f"u{k}", f"v{k}")
+            s = join_subdivision(s, trivial_subdivision(s0))
+        if sizes is not None:
+            sizes.append(s.total.num_faces())
+    return s

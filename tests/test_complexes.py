@@ -14,6 +14,7 @@ from flagsub.complexes import (
     simplex,
     sphere_zero,
 )
+from flagsub.constructions import FIXTURE_NAMES, ball_to_sphere, example_complexes
 from flagsub.errors import (
     GroundSetOverlap,
     GroundSetTooLarge,
@@ -42,8 +43,11 @@ def test_from_facets_drops_dominated_generators():
 
 
 def test_from_facets_unknown_vertex():
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(UnknownVertex, match="unknown vertex 'x'"):
         from_facets(["a"], [["a", "x"]])
+    # Repeated labels are refused before any name is looked up.
+    with pytest.raises(UnknownVertex, match="labels must be distinct"):
+        from_facets(["a", "a"], [["x"]])
 
 
 def test_from_facets_width_limit():
@@ -203,6 +207,51 @@ def test_minimal_non_faces_square():
         ["u2", "v2"],
     ]
     assert K.is_flag()
+
+
+def _assert_is_flag_by_minimal_non_faces(make):
+    # `make` builds a fresh complex, so the first `is_flag` call finds
+    # no minimal non-faces cached; the second reads the cache.
+    want = all(m.bit_count() == 2 for m in make().minimal_non_faces())
+    K = make()
+    assert K.is_flag() == want
+    K.minimal_non_faces()
+    assert K.is_flag() == want
+
+
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12)
+        )
+    )
+)
+@example((0, []))  # {empty}
+@example((3, []))  # {empty} on labels that are no vertices
+@example((2, [1, 2]))  # two isolated vertices
+@example((5, [1, 4, 6]))  # an isolated vertex, an edge, two unused labels
+@example((3, [3, 5, 6]))  # the hollow triangle
+@example((6, [7, 56, 1 | 8]))  # two triangles and an edge: flag
+def test_is_flag_matches_minimal_non_faces(case):
+    n, gens = case
+    labels = [f"w{i}" for i in range(n)]
+    _assert_is_flag_by_minimal_non_faces(lambda: SimplicialComplex(labels, gens))
+
+
+def test_is_flag_matches_minimal_non_faces_on_fixtures():
+    def restricted(name, face):
+        s = example_complexes(name)
+        return s.restriction(s.base.mask(face)).total
+
+    makers = [
+        lambda: ball_to_sphere(example_complexes("rem-4.5")).total,
+        lambda: restricted("ex-2.3a", ["b", "c", "d"]),
+        lambda: restricted("ex-2.3c", ["b", "c", "d"]),
+    ]
+    makers += [lambda n=n: example_complexes(n).total for n in FIXTURE_NAMES]
+    for make in makers:
+        _assert_is_flag_by_minimal_non_faces(make)
+    assert not any(make().is_flag() for make in makers[:3])
 
 
 def test_full_simplex_is_flag():

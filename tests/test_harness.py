@@ -1,9 +1,14 @@
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_trail
 from flagsub import harness
+from flagsub.complexes import SimplicialComplex, cross_polytope, simplex
 from flagsub.errors import MalformedInstance
 from flagsub.harness import (
     CHECKS,
@@ -21,8 +26,13 @@ from flagsub.harness import (
 from flagsub.homology import classify
 from flagsub.polynomials import gamma_vector
 from flagsub.serialize import subdivision_to_doc
-from flagsub.polynomials import IntPolynomial
-from flagsub.subdivisions import DecompositionCheck, SubdivisionMap
+from flagsub.polynomials import ZERO, IntPolynomial
+from flagsub.subdivisions import (
+    DecompositionCheck,
+    SubdivisionMap,
+    _gamma_terms,
+    stellar_subdivision,
+)
 
 
 def test_generator_spec_validation():
@@ -88,16 +98,17 @@ def test_size_guard_trips(monkeypatch):
 
 def test_size_guard_refuses_join_before_building_it(monkeypatch):
     # Each join-with-S0 triples the face count; the guard must trip
-    # before a join builds a complex beyond the cap, not after.
+    # before a complex beyond the cap is built, not after.  Every
+    # complex the trail builds, its growing base and its total alike,
+    # is filled in by `SimplicialComplex._fill`.
     sizes = []
-    real_join = harness.join_subdivision
+    real_fill = SimplicialComplex._fill
 
-    def spy(s1, s2):
-        out = real_join(s1, s2)
-        sizes.append(out.total.num_faces())
-        return out
+    def spy(self, labels, index, facets, faces, ordered):
+        sizes.append(len(ordered))
+        real_fill(self, labels, index, facets, faces, ordered)
 
-    monkeypatch.setattr(harness, "join_subdivision", spy)
+    monkeypatch.setattr(SimplicialComplex, "_fill", spy)
     monkeypatch.setattr(harness, "MAX_FACES", 5000)
     spec = GeneratorSpec(3, 75, 4, ("edge-subdivide", "join-with-S0"))
     with pytest.raises(MalformedInstance):
@@ -168,12 +179,104 @@ def test_generator_documents_are_pinned():
     )
 
 
+EDGE_ONLY = ("edge-subdivide",)
+JOIN_ONLY = ("join-with-S0",)
+MIXED = ("edge-subdivide", "join-with-S0")
+
+
+@st.composite
+def _trail_cases(draw):
+    """A generator call and its oracle.  Joins triple the face count, so
+    trails that may join stay short enough for the oracle to build."""
+    kind = draw(st.sampled_from(["sphere", "simplex", "pair"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "simplex":
+        verts = tuple(f"p{j}" for j in range(draw(st.integers(2, 6))))
+        steps = draw(st.integers(0, 12))
+
+        def simplex_oracle(sizes):
+            return oracle_trail(simplex(verts), steps, random.Random(seed), None, sizes)
+
+        return lambda: random_simplex_subdivision(verts, steps, seed), simplex_oracle
+    if kind == "pair":
+        dim = draw(st.integers(2, 4))
+        pre, extra = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+        def pair_oracle(sizes):
+            rng = random.Random(seed)
+            start = cross_polytope(dim)
+            sizes.append(start.num_faces())
+            K = oracle_trail(start, pre, rng, None, sizes).total
+            return oracle_trail(K, extra, rng, None, sizes)
+
+        return lambda: random_sphere_pair(dim, pre, extra, seed), pair_oracle
+    moves = draw(st.sampled_from([EDGE_ONLY, JOIN_ONLY, MIXED]))
+    dim = draw(st.integers(1 if moves == JOIN_ONLY else 2, 4))
+    steps = draw(st.integers(0, 12 if moves == EDGE_ONLY else 7 - dim))
+    spec = GeneratorSpec(dim, steps, seed, moves)
+
+    def sphere_oracle(sizes):
+        start = cross_polytope(dim)
+        sizes.append(start.num_faces())
+        return oracle_trail(start, steps, random.Random(seed), moves, sizes)
+
+    return lambda: random_flag_sphere(spec)[1], sphere_oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trail_cases())
+def test_graph_trail_equals_the_constructor_oracle(case):
+    generate, oracle = case
+    counts, sizes = [], []
+
+    def record(num_faces):
+        counts.append(num_faces)
+        real_guard(num_faces)
+
+    real_guard = harness._size_guard
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_size_guard", record)
+        got = generate()
+    want = oracle(sizes)
+    for K, L in ((got.total, want.total), (got.base, want.base)):
+        assert K.labels == L.labels
+        assert K.faces() == L.faces()
+        assert K.facets == L.facets
+    assert list(got.carrier.items()) == list(want.carrier.items())
+    # The guard reads, after each step, the face count the oracle built.
+    assert counts == sizes
+
+
 def test_sphere_pair_is_subdivision_of_smaller_sphere():
     pair = random_sphere_pair(3, 2, 3, seed=5)
     assert pair.base.is_flag() and pair.total.is_flag()
     assert pair.total.f_vector()[1] == pair.base.f_vector()[1] + 3
     v = pair.validate(fast=True)
     assert v.is_homology_subdivision and v.is_vertex_induced
+
+
+def test_monotonicity_witness_lists_the_gamma_terms():
+    # Subdividing a facet of the octahedral 3-sphere stellarly is not
+    # flag, and γ loses at γ_2: the one term is the facet's own.
+    K = cross_polytope(4)
+    F = min(K.facets)
+    inst = Instance(id="stellar-facet", pair=stellar_subdivision(K, F))
+    result = run_conjecture_suite([inst], {"monotonicity"})[0].checks
+    assert result["monotonicity"].status == "fail"
+    assert result["monotonicity"].witness == {
+        "gamma_base": [1, 0, 0],
+        "gamma_total": [1, 1, -1],
+        "terms": [{"face": list(K.names(F)), "xi": [0, 1, -1], "gamma_link": [1]}],
+    }
+    # On flag sphere pairs the terms sum to the change of γ.
+    for seed in range(6):
+        pair = random_sphere_pair(4 + seed % 2, seed % 3, 2, seed)
+        change = (
+            gamma_vector(pair.total).polynomial() - gamma_vector(pair.base).polynomial()
+        )
+        terms = [xi.polynomial() * g.polynomial() for _, xi, g in _gamma_terms(pair)]
+        assert terms
+        assert sum(terms, ZERO) == change
 
 
 def test_check_registry_tiers():
