@@ -201,7 +201,10 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _suite_instances(args) -> list[Instance]:
+def _suite_instances(args, checks: set[str]) -> list[Instance]:
+    """The seeded suite instances.  The sphere pair is built only when
+    one of ``checks`` reads it; `_digests` reads the other two fields."""
+    with_pair = any("pair" in CHECKS[name].reads for name in checks)
     instances = []
     for i in range(args.count):
         seed = args.seed + i
@@ -210,7 +213,9 @@ def _suite_instances(args) -> list[Instance]:
         sub = random_simplex_subdivision(
             tuple(f"p{j}" for j in range(1, args.dim + 1)), steps, seed
         )
-        pair = random_sphere_pair(args.dim, steps, 1 + seed % 3, seed)
+        pair = None
+        if with_pair:
+            pair = random_sphere_pair(args.dim, steps, 1 + seed % 3, seed)
         instances.append(
             Instance(
                 id=f"i{i:04d}-d{args.dim}-s{seed}",
@@ -232,7 +237,7 @@ def _cmd_suite(args) -> int:
     # Open the report first, so that a bad path is refused before any
     # instance is generated.
     with _open_out(args.out) if args.out else contextlib.nullcontext() as fh:
-        instances = _suite_instances(args)
+        instances = _suite_instances(args, checks)
         reports = run_conjecture_suite(instances, checks)
         doc = {
             "rng": RNG_NAME,

@@ -66,13 +66,14 @@ def sigma_cross_polytope_map(
     d = len(choice.ordered)
     base = cross_polytope(d)
     x_bits = [K.mask([x]) for x in choice.ordered]
+    face_set = K.face_set
     carrier = {}
     for E in K.faces():
         c = 0
         for i, xb in enumerate(x_bits):
             if E & xb:
                 c |= 1 << i
-            elif (E | xb) not in K.face_set:
+            elif (E | xb) not in face_set:
                 c |= 1 << (d + i)
         carrier[E] = c
     return SubdivisionMap(K, base, carrier)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .complexes import (
     SimplicialComplex,
@@ -319,7 +319,8 @@ class CheckResult:
 
 @dataclass
 class Instance:
-    """A suite instance; checks use whichever fields are present."""
+    """A suite instance.  Each check reads the fields named in its
+    `Check.reads` and is skipped when any of them is ``None``."""
 
     id: str
     complex: SimplicialComplex | None = None
@@ -328,6 +329,11 @@ class Instance:
     outer: SubdivisionMap | None = None
     inner: SubdivisionMap | None = None
     factors: tuple[SubdivisionMap, SubdivisionMap] | None = None
+
+    @property
+    def map(self) -> SubdivisionMap | None:
+        """The subdivision if there is one, else the sphere pair."""
+        return self.subdivision or self.pair
 
 
 @dataclass
@@ -357,10 +363,8 @@ def _coords(g: GammaVector | SymmetryFailure) -> list[int] | dict:
     return g.to_list()
 
 
-def _check_gal(inst: Instance) -> CheckResult:
-    if inst.complex is None:
-        return CheckResult("skipped")
-    g = gamma_vector(inst.complex)
+def _check_gal(K: SimplicialComplex) -> CheckResult:
+    g = gamma_vector(K)
     if isinstance(g, SymmetryFailure):
         return CheckResult("fail", {"symmetry_failure": g.to_dict()})
     if g.is_nonnegative():
@@ -368,20 +372,16 @@ def _check_gal(inst: Instance) -> CheckResult:
     return CheckResult("fail", {"gamma": g.to_list()})
 
 
-def _check_local_gamma(inst: Instance) -> CheckResult:
-    if inst.subdivision is None:
-        return CheckResult("skipped")
-    xi = inst.subdivision.local_gamma()
+def _check_local_gamma(s: SubdivisionMap) -> CheckResult:
+    xi = s.local_gamma()
     if xi.is_nonnegative():
         return CheckResult("pass")
     return CheckResult("fail", {"xi": xi.to_list()})
 
 
-def _check_monotonicity(inst: Instance) -> CheckResult:
-    if inst.pair is None:
-        return CheckResult("skipped")
-    g_base = _gamma_or_none(inst.pair.base)
-    g_total = _gamma_or_none(inst.pair.total)
+def _check_monotonicity(pair: SubdivisionMap) -> CheckResult:
+    g_base = _gamma_or_none(pair.base)
+    g_total = _gamma_or_none(pair.total)
     if g_base is None or g_total is None:
         return CheckResult("fail", {"reason": "gamma undefined on one side"})
     if g_total >= g_base:
@@ -390,11 +390,11 @@ def _check_monotonicity(inst: Instance) -> CheckResult:
     # they show which base faces make it negative.
     terms = [
         {
-            "face": list(inst.pair.base.names(F)),
+            "face": list(pair.base.names(F)),
             "xi": _coords(xi),
             "gamma_link": _coords(g_link),
         }
-        for F, xi, g_link in _gamma_terms(inst.pair)
+        for F, xi, g_link in _gamma_terms(pair)
     ]
     return CheckResult(
         "fail",
@@ -406,19 +406,14 @@ def _check_monotonicity(inst: Instance) -> CheckResult:
     )
 
 
-def _check_unimodality(inst: Instance) -> CheckResult:
-    if inst.subdivision is None:
-        return CheckResult("skipped")
-    ell = inst.subdivision.local_h()
+def _check_unimodality(s: SubdivisionMap) -> CheckResult:
+    ell = s.local_h()
     if ell.is_unimodal():
         return CheckResult("pass")
     return CheckResult("fail", {"local_h": ell.to_list()})
 
 
-def _check_relative_symmetry(inst: Instance) -> CheckResult:
-    if inst.subdivision is None:
-        return CheckResult("skipped")
-    s = inst.subdivision
+def _check_relative_symmetry(s: SubdivisionMap) -> CheckResult:
     d = len(s.base.labels)
     for E, ell in _relative_local_h_table(s).items():
         if ell.reflect(d - E.bit_count()) != ell:
@@ -429,31 +424,23 @@ def _check_relative_symmetry(inst: Instance) -> CheckResult:
     return CheckResult("pass")
 
 
-def _check_local_h_symmetry(inst: Instance) -> CheckResult:
-    if inst.subdivision is None:
-        return CheckResult("skipped")
-    ell = inst.subdivision.local_h()
-    d = len(inst.subdivision.base.labels)
-    if ell.is_symmetric(d):
+def _check_local_h_symmetry(s: SubdivisionMap) -> CheckResult:
+    ell = s.local_h()
+    if ell.is_symmetric(len(s.base.labels)):
         return CheckResult("pass")
     return CheckResult("fail", {"local_h": ell.to_list()})
 
 
-def _check_local_h_nonneg(inst: Instance) -> CheckResult:
-    if inst.subdivision is None:
+def _check_local_h_nonneg(s: SubdivisionMap) -> CheckResult:
+    if s.quasi_geometric_witness() is not None:
         return CheckResult("skipped")
-    if inst.subdivision.quasi_geometric_witness() is not None:
-        return CheckResult("skipped")
-    ell = inst.subdivision.local_h()
+    ell = s.local_h()
     if ell.is_nonnegative():
         return CheckResult("pass")
     return CheckResult("fail", {"local_h": ell.to_list()})
 
 
-def _check_h_decomposition(inst: Instance) -> CheckResult:
-    s = inst.subdivision or inst.pair
-    if s is None:
-        return CheckResult("skipped")
+def _check_h_decomposition(s: SubdivisionMap) -> CheckResult:
     chk = check_h_decomposition(s)
     if chk.ok:
         return CheckResult("pass")
@@ -464,32 +451,25 @@ def _check_h_decomposition(inst: Instance) -> CheckResult:
     return CheckResult("fail", witness)
 
 
-def _check_locality(inst: Instance) -> CheckResult:
-    if inst.outer is None or inst.inner is None:
-        return CheckResult("skipped")
-    chk = check_locality(inst.outer, inst.inner)
+def _check_locality(outer: SubdivisionMap, inner: SubdivisionMap) -> CheckResult:
+    chk = check_locality(outer, inner)
     if chk.ok:
         return CheckResult("pass")
-    return CheckResult(
-        "fail", {"lhs": chk.lhs.to_list(), "rhs": chk.rhs.to_list()}
-    )
+    return CheckResult("fail", {"lhs": chk.lhs.to_list(), "rhs": chk.rhs.to_list()})
 
 
-def _check_xi_product(inst: Instance) -> CheckResult:
-    if inst.factors is None or inst.subdivision is None:
-        return CheckResult("skipped")
-    s1, s2 = inst.factors
-    lhs = inst.subdivision.local_gamma().polynomial()
+def _check_xi_product(
+    s: SubdivisionMap, factors: tuple[SubdivisionMap, SubdivisionMap]
+) -> CheckResult:
+    s1, s2 = factors
+    lhs = s.local_gamma().polynomial()
     rhs = s1.local_gamma().polynomial() * s2.local_gamma().polynomial()
     if lhs == rhs:
         return CheckResult("pass")
     return CheckResult("fail", {"lhs": lhs.to_list(), "rhs": rhs.to_list()})
 
 
-def _check_xi_formulas(inst: Instance) -> CheckResult:
-    if inst.subdivision is None:
-        return CheckResult("skipped")
-    s = inst.subdivision
+def _check_xi_formulas(s: SubdivisionMap) -> CheckResult:
     d = len(s.base.labels)
     if d < 1:
         return CheckResult("skipped")
@@ -497,31 +477,21 @@ def _check_xi_formulas(inst: Instance) -> CheckResult:
     stats = s.interior_stats()
     if xi.coeffs[0] != 0:
         return CheckResult("fail", {"xi": xi.to_list(), "reason": "xi_0 != 0"})
-    xi1 = xi.coeffs[1] if len(xi.coeffs) > 1 else 0
-    if xi1 != stats.f0_interior:
-        return CheckResult(
-            "fail", {"xi": xi.to_list(), "stats": stats.to_dict()}
-        )
-    if d >= 4:
-        want = (
-            -(2 * d - 3) * stats.f0_interior
-            + stats.f1_interior
-            - stats.f0_codim1_relint
-        )
-        xi2 = xi.coeffs[2] if len(xi.coeffs) > 2 else 0
-        if xi2 != want:
-            return CheckResult(
-                "fail", {"xi": xi.to_list(), "stats": stats.to_dict()}
-            )
+    p = xi.polynomial()
+    want2 = (
+        -(2 * d - 3) * stats.f0_interior + stats.f1_interior - stats.f0_codim1_relint
+    )
+    # ξ has a degree-1 coordinate from d = 2 on, and a degree-2 one
+    # from d = 4 on.
+    if (d >= 2 and p[1] != stats.f0_interior) or (d >= 4 and p[2] != want2):
+        return CheckResult("fail", {"xi": xi.to_list(), "stats": stats.to_dict()})
     return CheckResult("pass")
 
 
-def _check_field_agreement(inst: Instance) -> CheckResult:
-    if inst.complex is None:
-        return CheckResult("skipped")
+def _check_field_agreement(K: SimplicialComplex) -> CheckResult:
     from .homology import QQ, _verdicts
 
-    verdicts = _verdicts(inst.complex, QQ)
+    verdicts = _verdicts(K, QQ)
     over_gf2, over_q = verdicts[0], verdicts[-1]
     if (over_gf2.kind, over_gf2.dimension) == (over_q.kind, over_q.dimension):
         return CheckResult("pass")
@@ -531,10 +501,7 @@ def _check_field_agreement(inst: Instance) -> CheckResult:
     )
 
 
-def _check_hierarchy(inst: Instance) -> CheckResult:
-    s = inst.subdivision or inst.pair
-    if s is None:
-        return CheckResult("skipped")
+def _check_hierarchy(s: SubdivisionMap) -> CheckResult:
     v = s.validate(fast=True)
     if v.is_vertex_induced and not v.is_quasi_geometric:
         return CheckResult("fail", {"reason": "vertex-induced but not quasi-geometric"})
@@ -547,27 +514,34 @@ def _check_hierarchy(inst: Instance) -> CheckResult:
 
 @dataclass(frozen=True)
 class Check:
+    """A named check of the suite.  ``fn`` takes the `Instance` fields
+    named in ``reads``, in that order; `run_conjecture_suite` skips the
+    check on an instance where any of them is ``None``."""
+
     name: str
     tier: str
-    fn: object
+    reads: tuple[str, ...]
+    fn: Callable[..., CheckResult]
 
 
 CHECKS: dict[str, Check] = {
     c.name: c
     for c in [
-        Check("gal", CONJECTURE, _check_gal),
-        Check("local-gamma", CONJECTURE, _check_local_gamma),
-        Check("monotonicity", CONJECTURE, _check_monotonicity),
-        Check("unimodality", CONJECTURE, _check_unimodality),
-        Check("relative-symmetry", CONJECTURE, _check_relative_symmetry),
-        Check("field-agreement", CONJECTURE, _check_field_agreement),
-        Check("local-h-symmetry", THEOREM, _check_local_h_symmetry),
-        Check("local-h-nonneg", THEOREM, _check_local_h_nonneg),
-        Check("h-decomposition", THEOREM, _check_h_decomposition),
-        Check("locality", THEOREM, _check_locality),
-        Check("xi-product", THEOREM, _check_xi_product),
-        Check("xi-formulas", THEOREM, _check_xi_formulas),
-        Check("hierarchy", THEOREM, _check_hierarchy),
+        Check("gal", CONJECTURE, ("complex",), _check_gal),
+        Check("local-gamma", CONJECTURE, ("subdivision",), _check_local_gamma),
+        Check("monotonicity", CONJECTURE, ("pair",), _check_monotonicity),
+        Check("unimodality", CONJECTURE, ("subdivision",), _check_unimodality),
+        Check(
+            "relative-symmetry", CONJECTURE, ("subdivision",), _check_relative_symmetry
+        ),
+        Check("field-agreement", CONJECTURE, ("complex",), _check_field_agreement),
+        Check("local-h-symmetry", THEOREM, ("subdivision",), _check_local_h_symmetry),
+        Check("local-h-nonneg", THEOREM, ("subdivision",), _check_local_h_nonneg),
+        Check("h-decomposition", THEOREM, ("map",), _check_h_decomposition),
+        Check("locality", THEOREM, ("outer", "inner"), _check_locality),
+        Check("xi-product", THEOREM, ("subdivision", "factors"), _check_xi_product),
+        Check("xi-formulas", THEOREM, ("subdivision",), _check_xi_formulas),
+        Check("hierarchy", THEOREM, ("map",), _check_hierarchy),
     ]
 }
 
@@ -605,6 +579,9 @@ def run_conjecture_suite(
 ) -> list[ConjectureReport]:
     """Evaluate the named checks on every instance.
 
+    A check whose `Check.reads` names a field that is ``None`` on an
+    instance is recorded there as skipped, without being called.
+
     Failures never raise; they are recorded with witnesses.  Use
     `has_theorem_failure` to decide whether a run uncovered an
     implementation defect.
@@ -614,8 +591,13 @@ def run_conjecture_suite(
     for inst in instances:
         rep = ConjectureReport(instance=inst.id)
         for name in sorted(checks):
+            check = CHECKS[name]
             t0 = time.perf_counter()
-            rep.checks[name] = CHECKS[name].fn(inst)
+            fields = [getattr(inst, f) for f in check.reads]
+            if any(f is None for f in fields):
+                rep.checks[name] = CheckResult("skipped")
+            else:
+                rep.checks[name] = check.fn(*fields)
             rep.timings[name] = time.perf_counter() - t0
         rep.digests = _digests(inst)
         reports.append(rep)

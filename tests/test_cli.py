@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -270,7 +271,7 @@ def test_usage_errors_exit_3(capsys):
 
 
 def test_unknown_checks_are_refused_before_generating(capsys, monkeypatch):
-    def refuse(args):
+    def refuse(args, checks):
         raise AssertionError("generated instances for a refused check")
 
     monkeypatch.setattr(cli, "_suite_instances", refuse)
@@ -285,7 +286,7 @@ def test_suite_out_to_a_bad_path_exits_3_before_generating(
     capsys, monkeypatch, tmp_path
 ):
     # This was a traceback with exit 1, after every instance was checked.
-    def refuse(args):
+    def refuse(args, checks):
         raise AssertionError("generated instances for an unwritable report")
 
     monkeypatch.setattr(cli, "_suite_instances", refuse)
@@ -303,7 +304,7 @@ def test_suite_dims_below_two_are_refused_before_generating(
 ):
     # --dim 1 exited 3 only after generating, --dim 0 after the report
     # was opened, and both left an empty --out file behind.
-    def refuse(args):
+    def refuse(args, checks):
         raise AssertionError("generated instances for a refused dimension")
 
     monkeypatch.setattr(cli, "_suite_instances", refuse)
@@ -359,6 +360,37 @@ def test_suite_exit_codes_and_tsv(capsys, tmp_path):
     assert report["summary"]["gal"]["pass"] == 4
     assert report["checks"]["h-decomposition"]["tier"] == "theorem"
     assert len(report["reports"]) == 4
+
+
+def test_suite_builds_no_sphere_pair_unless_a_check_reads_it(
+    capsys, monkeypatch, tmp_path
+):
+    calls = []
+    real = cli.random_sphere_pair
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "random_sphere_pair", spy)
+    checks = {"gal", "local-gamma", "xi-formulas"}
+    out = tmp_path / "report.json"
+    argv = ["suite", "--checks", ",".join(sorted(checks)), "--dim", "3",
+            "--count", "6", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+    # The same report as from instances built with their pairs.
+    args = argparse.Namespace(count=6, dim=3, seed=2)
+    instances = cli._suite_instances(args, set(harness.CHECKS))
+    assert len(calls) == 6
+    assert all(inst.pair is not None for inst in instances)
+    reports = harness.run_conjecture_suite(instances, checks)
+    want = json.loads(json.dumps([r.to_dict() for r in reports]))
+    got = json.loads(out.read_text())["reports"]
+    for r in want + got:
+        del r["timings_ms"]
+    assert got == want
 
 
 def test_malformed_input_exit_code(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -14,6 +15,7 @@ from flagsub.harness import (
     CHECKS,
     CONJECTURE,
     THEOREM,
+    CheckResult,
     GeneratorSpec,
     Instance,
     has_theorem_failure,
@@ -31,7 +33,10 @@ from flagsub.subdivisions import (
     DecompositionCheck,
     SubdivisionMap,
     _gamma_terms,
+    edge_subdivision,
+    join_subdivision,
     stellar_subdivision,
+    trivial_subdivision,
 )
 
 
@@ -280,13 +285,65 @@ def test_monotonicity_witness_lists_the_gamma_terms():
 
 
 def test_check_registry_tiers():
-    assert CHECKS["gal"].tier == CONJECTURE
-    assert CHECKS["local-gamma"].tier == CONJECTURE
-    assert CHECKS["monotonicity"].tier == CONJECTURE
-    assert CHECKS["unimodality"].tier == CONJECTURE
-    assert CHECKS["local-h-symmetry"].tier == THEOREM
-    assert CHECKS["h-decomposition"].tier == THEOREM
-    assert CHECKS["xi-product"].tier == THEOREM
+    assert {name: (c.tier, c.reads) for name, c in CHECKS.items()} == {
+        "gal": (CONJECTURE, ("complex",)),
+        "local-gamma": (CONJECTURE, ("subdivision",)),
+        "monotonicity": (CONJECTURE, ("pair",)),
+        "unimodality": (CONJECTURE, ("subdivision",)),
+        "relative-symmetry": (CONJECTURE, ("subdivision",)),
+        "field-agreement": (CONJECTURE, ("complex",)),
+        "local-h-symmetry": (THEOREM, ("subdivision",)),
+        "local-h-nonneg": (THEOREM, ("subdivision",)),
+        "h-decomposition": (THEOREM, ("map",)),
+        "locality": (THEOREM, ("outer", "inner")),
+        "xi-product": (THEOREM, ("subdivision", "factors")),
+        "xi-formulas": (THEOREM, ("subdivision",)),
+        "hierarchy": (THEOREM, ("map",)),
+    }
+
+
+def _full_instance() -> Instance:
+    """An instance with every field set, on which no check is skipped."""
+    s1 = random_simplex_subdivision(("a1", "a2"), 1, 1)
+    s2 = random_simplex_subdivision(("c1", "c2", "c3"), 2, 2)
+    outer = random_simplex_subdivision(("p1", "p2", "p3"), 1, 3)
+    edge = next(f for f in outer.total.faces() if f.bit_count() == 2)
+    return Instance(
+        id="full",
+        complex=random_flag_sphere(GeneratorSpec(3, 2, seed=4))[0],
+        subdivision=join_subdivision(s1, s2),
+        pair=random_sphere_pair(3, 1, 1, seed=5),
+        outer=outer,
+        inner=edge_subdivision(outer.total, edge),
+        factors=(s1, s2),
+    )
+
+
+def _without(inst: Instance, name: str) -> Instance:
+    # `map` is the subdivision, else the pair, so it is None only when
+    # both are.
+    fields = ("subdivision", "pair") if name == "map" else (name,)
+    return dataclasses.replace(inst, **dict.fromkeys(fields))
+
+
+def test_instance_map_prefers_the_subdivision():
+    inst = _full_instance()
+    assert inst.map is inst.subdivision
+    assert _without(inst, "subdivision").map is inst.pair
+    assert _without(inst, "map").map is None
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_a_check_is_skipped_exactly_when_a_field_it_reads_is_missing(name):
+    inst = _full_instance()
+    (report,) = run_conjecture_suite([inst], {name})
+    status = report.checks[name].status
+    assert status != "skipped"
+    # Every theorem holds on this instance.
+    assert status == "pass" or CHECKS[name].tier == CONJECTURE
+    for missing in CHECKS[name].reads:
+        (report,) = run_conjecture_suite([_without(inst, missing)], {name})
+        assert report.checks[name] == CheckResult("skipped"), missing
 
 
 def test_unknown_check_rejected():
@@ -310,6 +367,18 @@ def test_skipped_when_instance_lacks_structure():
     inst = Instance(id="bare")
     reports = run_conjecture_suite([inst], {"gal", "locality"})
     assert all(r.status == "skipped" for r in reports[0].checks.values())
+
+
+def test_xi_formulas_pass_on_trivial_subdivisions_of_simplices():
+    # At d = 1, ξ has no degree-1 coordinate to equal the one interior
+    # vertex.
+    for n in range(1, 5):
+        s = trivial_subdivision(simplex([f"a{i}" for i in range(n)]))
+        reports = run_conjecture_suite(
+            [Instance(id=f"simplex-{n}", subdivision=s)], {"xi-formulas"}
+        )
+        assert reports[0].checks["xi-formulas"] == CheckResult("pass"), n
+        assert not has_theorem_failure(reports)
 
 
 def test_field_agreement_check():

@@ -17,10 +17,12 @@ from flagsub.complexes import (
 )
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.harness import (
+    CHECKS,
     CheckResult,
     Instance,
     _check_field_agreement,
     random_simplex_subdivision,
+    run_conjecture_suite,
 )
 from flagsub.homology import (
     GF2,
@@ -257,7 +259,7 @@ def _suite_corpus():
     out = []
     for dim in (3, 4):
         args = argparse.Namespace(count=8, dim=dim, seed=0)
-        out += _suite_instances(args)
+        out += _suite_instances(args, set(CHECKS))
     return out
 
 
@@ -369,7 +371,7 @@ def test_both_verdicts_of_a_ball_cost_one_gf2_pass(monkeypatch):
     assert len(gf2_ranks) == 76
     passes.clear()
     gf2_ranks.clear()
-    assert _check_field_agreement(Instance(id="b", complex=K)) == CheckResult("pass")
+    assert _check_field_agreement(K) == CheckResult("pass")
     assert len(passes) == 1
     assert len(gf2_ranks) == 76
     assert q_ranks == []
@@ -386,7 +388,7 @@ def test_both_verdicts_of_a_gf2_other_cost_one_gf2_pass(monkeypatch):
         assert over_gf2 == classify(K, GF2)
         assert over_q == classify(K, QQ)
         gf2_ranks.clear()
-        assert _check_field_agreement(Instance(id="t", complex=K)) == CheckResult("pass")
+        assert _check_field_agreement(K) == CheckResult("pass")
         assert len(gf2_ranks) == ranks
 
 
@@ -415,8 +417,9 @@ def test_field_agreement_is_unchanged():
         for i, K in enumerate(_torsion_set() + _impure_set())
     ]
     for inst in instances:
-        assert _check_field_agreement(inst) == direct(inst.complex)
-    assert _check_field_agreement(Instance(id="none")) == CheckResult("skipped")
+        assert _check_field_agreement(inst.complex) == direct(inst.complex)
+    (report,) = run_conjecture_suite([Instance(id="none")], {"field-agreement"})
+    assert report.checks["field-agreement"] == CheckResult("skipped")
 
 
 # -- links of dimension <= 2 certified without ranks -----------------------
@@ -541,7 +544,8 @@ def test_a_suite_sphere_ranks_only_itself(monkeypatch):
 
     monkeypatch.setattr(homology, "_betti_of_faces", spy)
     q_ranks = _spy(monkeypatch, "_rank")
-    for inst in _suite_instances(argparse.Namespace(count=4, dim=4, seed=0)):
+    args = argparse.Namespace(count=4, dim=4, seed=0)
+    for inst in _suite_instances(args, set(CHECKS)):
         for K in (inst.complex, inst.pair.total):
             for spec in (GF2, QQ):
                 ranked.clear()
