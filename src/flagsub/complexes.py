@@ -274,7 +274,12 @@ class SimplicialComplex:
 
 def face_counts(faces: Iterable[int]) -> list[int]:
     """Counts by cardinality of a face family given in (card, mask)
-    order, as ``K.faces()`` and the lists of `link_table` are."""
+    order, as ``K.faces()`` and the lists of `link_table` are.
+
+    Most calls count a link of a few dozen faces at most.  On CPython
+    3.11 this loop counts those in about half the time that reading
+    their `card_offsets` takes; the offsets win only on families of
+    thousands of faces."""
     counts: list[int] = []
     for f in faces:
         k = f.bit_count()

@@ -25,6 +25,7 @@ from .complexes import (
 from .errors import FlagsubError, MalformedInstance, VertexCollision
 from .polynomials import (
     GammaVector,
+    IntPolynomial,
     SymmetryFailure,
     gamma_vector,
     h_polynomial,
@@ -415,8 +416,15 @@ def _check_unimodality(s: SubdivisionMap) -> CheckResult:
 
 def _check_relative_symmetry(s: SubdivisionMap) -> CheckResult:
     d = len(s.base.labels)
+    # Faces of one star histogram share one polynomial; each distinct
+    # (width, polynomial) is tested once, at its first face.
+    seen: set[tuple[int, IntPolynomial]] = set()
     for E, ell in _relative_local_h_table(s).items():
-        if ell.reflect(d - E.bit_count()) != ell:
+        width = d - E.bit_count()
+        if (width, ell) in seen:
+            continue
+        seen.add((width, ell))
+        if ell.reflect(width) != ell:
             return CheckResult(
                 "fail",
                 {"face": list(s.total.names(E)), "relative_local_h": ell.to_list()},
@@ -505,7 +513,7 @@ def _check_hierarchy(s: SubdivisionMap) -> CheckResult:
     v = s.validate(fast=True)
     if v.is_vertex_induced and not v.is_quasi_geometric:
         return CheckResult("fail", {"reason": "vertex-induced but not quasi-geometric"})
-    if v.is_vertex_induced and s.total.is_flag() and not v.is_flag_subdivision:
+    if v.is_vertex_induced and not v.is_flag_subdivision and s.total.is_flag():
         return CheckResult(
             "fail", {"reason": "flag total + vertex-induced but not flag subdivision"}
         )

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -9,8 +10,10 @@ from flagsub.complexes import (
     card_offsets,
     cross_polytope,
     cross_polytope_on,
+    face_counts,
     from_facets,
     iter_submasks,
+    link_table,
     simplex,
     sphere_zero,
 )
@@ -312,6 +315,33 @@ def test_construction_matches_literal_oracle(case):
     assert at[-1] == K.num_faces()
     for k in range(K.dim + 2):
         assert all(f.bit_count() == k for f in K.faces()[at[k] : at[k + 1]])
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=8),
+        )
+    )
+)
+@example((0, 0, []))
+@example((0, 2, [0]))
+@example((4, 1, [7, 8]))
+@example((5, 0, [31, 7, 24, 2]))
+def test_face_counts_match_a_counter_by_cardinality(case):
+    # {∅}, impure complexes and labels that occur in no face all occur.
+    n, unused, gens = case
+    K = SimplicialComplex([f"w{i}" for i in range(n + unused)], gens)
+
+    def by_card(faces):
+        counts = Counter(f.bit_count() for f in faces)
+        return [counts[k] for k in range(max(counts) + 1)]
+
+    assert K.f_vector() == tuple(by_card(K.faces()))
+    for faces in [K.faces(), *link_table(K).values()]:
+        assert face_counts(faces) == by_card(faces)
 
 
 def test_equality_is_labels_plus_facets():

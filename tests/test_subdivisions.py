@@ -22,7 +22,12 @@ from flagsub.errors import (
     NotHomologySubdivision,
     VertexCollision,
 )
-from flagsub.harness import random_simplex_subdivision, random_sphere_pair
+from flagsub.harness import (
+    CheckResult,
+    _check_relative_symmetry,
+    random_simplex_subdivision,
+    random_sphere_pair,
+)
 from flagsub.polynomials import (
     IntPolynomial,
     SymmetryFailure,
@@ -727,6 +732,74 @@ def test_relative_local_h_table_matches_the_per_face_method():
         assert list(table) == list(s.total.faces())
         for E, ell in table.items():
             assert ell == s.relative_local_h(E)
+
+
+def per_face_relative_symmetry(s: SubdivisionMap) -> CheckResult:
+    """`relative-symmetry` as a walk over `relative_local_h` in face
+    order, stopping at the first asymmetric face."""
+    d = len(s.base.labels)
+    for E in s.total.faces():
+        ell = s.relative_local_h(E)
+        if ell.reflect(d - E.bit_count()) != ell:
+            return CheckResult(
+                "fail",
+                {"face": list(s.total.names(E)), "relative_local_h": ell.to_list()},
+            )
+    return CheckResult("pass")
+
+
+def carried(
+    total: SimplicialComplex, base: SimplicialComplex, onto: dict
+) -> SubdivisionMap:
+    """The map carrying each total face named in ``onto`` (comma-joined,
+    in label order) onto the named base face, and every other total
+    face onto the base face of the same names."""
+    carrier = {}
+    for E in total.faces():
+        key = ",".join(total.names(E))
+        carrier[E] = base.mask(onto.get(key, total.names(E)))
+    return SubdivisionMap(total, base, carrier)
+
+
+def path_over_an_edge() -> SubdivisionMap:
+    """The path b0,b1 + b1,x0 over the 1-simplex (b0, b1), with x0 and
+    both edges carried onto the whole base.  l_∅ = x passes at width 2
+    and l_b1 = x fails at width 1, so a check that tests each
+    polynomial once must key it by its width too."""
+    total = from_facets(["b0", "b1", "x0"], [["b0", "b1"], ["b1", "x0"]])
+    whole = ["b0", "b1"]
+    return carried(total, simplex(whole), {"x0": whole, "b0,b1": whole, "b1,x0": whole})
+
+
+def disjoint_edges() -> SubdivisionMap:
+    """Two disjoint edges over the 1-simplex (p, q).  The faces m and
+    m,p share l = 1, asymmetric at width 1 and symmetric at width 0."""
+    total = from_facets(["p", "q", "m", "n"], [["p", "m"], ["q", "n"]])
+    whole = ["p", "q"]
+    onto = {"m": whole, "n": whole, "p,m": whole, "q,n": whole}
+    return carried(total, simplex(whole), onto)
+
+
+def test_relative_symmetry_check_matches_the_per_face_walk():
+    maps = simplex_subdivisions()
+    for seed in range(30):
+        maps += [
+            m
+            for m in derived_maps(random.Random(seed))
+            if m.base.facets == {(1 << len(m.base.labels)) - 1}
+        ]
+    for s in maps:
+        assert _check_relative_symmetry(s) == per_face_relative_symmetry(s)
+
+    path = path_over_an_edge()
+    want = CheckResult("fail", {"face": ["b1"], "relative_local_h": [0, 1]})
+    assert _check_relative_symmetry(path) == per_face_relative_symmetry(path) == want
+    edges = disjoint_edges()
+    table = _relative_local_h_table(edges)
+    m, mp = edges.total.mask(["m"]), edges.total.mask(["p", "m"])
+    assert table[m] == table[mp] == IntPolynomial([1])
+    want = CheckResult("fail", {"face": [], "relative_local_h": [0, 2, -1]})
+    assert _check_relative_symmetry(edges) == per_face_relative_symmetry(edges) == want
 
 
 def disjoint_union(A: SimplicialComplex, B: SimplicialComplex) -> SimplicialComplex:

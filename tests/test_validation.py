@@ -8,9 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flagsub.complexes import SimplicialComplex, from_facets, simplex
-from flagsub.constructions import FIXTURE_NAMES, example_complexes
+from flagsub.constructions import FIXTURE_NAMES, ball_to_sphere, example_complexes
 from flagsub.errors import InvalidCarrier
-from flagsub.harness import random_simplex_subdivision, random_sphere_pair
+from flagsub.harness import (
+    CheckResult,
+    _check_hierarchy,
+    random_simplex_subdivision,
+    random_sphere_pair,
+)
 from flagsub.subdivisions import SubdivisionMap
 
 from conftest import literal_fast_verdict, literal_full_verdict
@@ -164,3 +169,51 @@ def test_fast_validation_builds_no_complex(monkeypatch):
     assert built == []
     maps[0].validate()
     assert "init" in built
+
+
+def literal_hierarchy(s: SubdivisionMap) -> CheckResult:
+    """The `hierarchy` check read off `literal_fast_verdict`, with the
+    total's flagness from its listed minimal non-faces."""
+    v = literal_fast_verdict(s)
+    if v["vertex_induced"] and not v["quasi_geometric"]:
+        return CheckResult("fail", {"reason": "vertex-induced but not quasi-geometric"})
+    flag_total = all(m.bit_count() == 2 for m in s.total.minimal_non_faces())
+    if v["vertex_induced"] and flag_total and not v["flag_subdivision"]:
+        return CheckResult(
+            "fail", {"reason": "flag total + vertex-induced but not flag subdivision"}
+        )
+    return CheckResult("pass")
+
+
+def test_hierarchy_walks_a_flag_total_once_and_lists_no_non_faces(monkeypatch):
+    calls: list[str] = []
+    is_flag = SimplicialComplex.is_flag
+    minimal_non_faces = SimplicialComplex.minimal_non_faces
+
+    def spy_is_flag(self):
+        calls.append("is_flag")
+        return is_flag(self)
+
+    def spy_minimal_non_faces(self):
+        calls.append("minimal_non_faces")
+        return minimal_non_faces(self)
+
+    monkeypatch.setattr(SimplicialComplex, "is_flag", spy_is_flag)
+    monkeypatch.setattr(SimplicialComplex, "minimal_non_faces", spy_minimal_non_faces)
+    for seed in range(4):
+        s = random_sphere_pair(2 + seed % 2, seed % 3, 1 + seed % 2, seed)
+        assert s.validate(fast=True).is_flag_subdivision
+        assert calls == ["is_flag"]
+        calls.clear()
+        assert _check_hierarchy(s) == CheckResult("pass")
+        assert calls == ["is_flag"]
+        calls.clear()
+    monkeypatch.undo()
+
+    # Non-flag totals still list their minimal non-faces as witnesses.
+    maps = [example_complexes("ex-2.3b")]
+    maps += [ball_to_sphere(example_complexes(name)) for name in FIXTURE_NAMES]
+    for s in maps:
+        assert not s.total.is_flag()
+        assert s.validate(fast=True).to_dict() == literal_fast_verdict(s)
+        assert _check_hierarchy(s) == literal_hierarchy(s)
