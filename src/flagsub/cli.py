@@ -54,7 +54,9 @@ def _load(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSON syntax and bytes that do not decode;
+        # RecursionError, arrays or objects nested too deep to parse.
         raise MalformedInstance(f"cannot read {path}: {exc}") from None
 
 

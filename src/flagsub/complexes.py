@@ -49,7 +49,8 @@ class SimplicialComplex:
     by (cardinality, bitmask value) so that output is deterministic.
     Both come from one pass over the distinct generators, largest
     first: a generator becomes a facet unless it is already a face of
-    the facets kept before it, and each new facet adds its submasks.
+    the facets kept before it, and each new facet adds the submasks
+    that the faces so far may lack.
     """
 
     __slots__ = ("labels", "facets", "_index", "_faces", "_face_set", "_mnf")
@@ -60,9 +61,23 @@ class SimplicialComplex:
         facets: set[int] = set()
         faces: set[int] = set()
         for g in sorted(set(facet_masks), key=int.bit_count, reverse=True):
-            if g not in faces:
-                facets.add(g)
-                faces.update(iter_submasks(g))
+            if g in faces:
+                continue
+            facets.add(g)
+            # A submask that misses a vertex b with g ^ b a face is a
+            # face already, so only the submasks holding every such b
+            # are added: those doubled over the other vertices.
+            subs = [0]
+            have = 0
+            rest = g
+            while rest:
+                low = rest & -rest
+                if g ^ low in faces:
+                    have |= low
+                else:
+                    subs += [x | low for x in subs]
+                rest ^= low
+            faces.update([x | have for x in subs] if have else subs)
         if not facets:
             facets.add(0)
             faces.add(0)
@@ -105,8 +120,17 @@ class SimplicialComplex:
         return _mask(self._index, names)
 
     def names(self, mask: int) -> tuple[str, ...]:
-        """Vertex names of a face mask, in label order."""
-        return tuple(self.labels[i] for i in iter_bits(mask))
+        """Vertex names of a mask, in label order (not sorted by string).
+
+        Any mask is accepted, face or not; a bit past the ground set
+        raises ``IndexError``."""
+        labels = self.labels
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def faces(self) -> tuple[int, ...]:
         """All faces including the empty face, each exactly once."""

@@ -3,19 +3,25 @@
 Complex: {"labels": [...], "facets": [[names]...]}.
 Subdivision: {"base": <complex>, "total": <complex>,
               "carrier": {"<sorted-face-key>": [base names]}}
-where a face key joins its sorted vertex names with commas and the
-empty face's entry is implicit.
+where a face key joins its vertex names with commas, and both the key
+and the carrier's name list are sorted by string, not by label order:
+labels ``9`` and ``10`` give the key ``10,9``.  Facet name lists keep
+label order.  The empty face's entry is implicit.
+
+The reader looks each name up in a table of the labels.  A lookup that
+misses, or a carrier value that is not a list, sends that key or value
+through the type checks and ``SimplicialComplex.mask``, and these make
+every error message.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from itertools import chain, repeat
+
 from .complexes import SimplicialComplex, from_facets
 from .errors import MalformedInstance
 from .subdivisions import SubdivisionMap
-
-
-def _face_key(names) -> str:
-    return ",".join(sorted(names))
 
 
 def _check_labels(labels) -> None:
@@ -26,9 +32,10 @@ def _check_labels(labels) -> None:
 
 def complex_to_doc(K: SimplicialComplex) -> dict:
     _check_labels(K.labels)
-    facets = sorted(
-        (list(K.names(f)) for f in K.facets), key=lambda ns: (len(ns), ns)
-    )
+    # Sorted by (size, names): by names, then stably by size.
+    facets = [list(K.names(f)) for f in K.facets]
+    facets.sort()
+    facets.sort(key=len)
     return {"labels": list(K.labels), "facets": facets}
 
 
@@ -37,10 +44,12 @@ def complex_from_doc(doc) -> SimplicialComplex:
         raise MalformedInstance("complex document needs 'labels' and 'facets'")
     labels = doc["labels"]
     facets = doc["facets"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+    if not isinstance(labels, list) or not all(map(isinstance, labels, repeat(str))):
         raise MalformedInstance("'labels' must be a list of strings")
-    if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(isinstance(x, str) for x in f) for f in facets
+    if not (
+        isinstance(facets, list)
+        and all(map(isinstance, facets, repeat(list)))
+        and all(map(isinstance, chain.from_iterable(facets), repeat(str)))
     ):
         raise MalformedInstance("'facets' must be a list of name lists")
     _check_labels(labels)
@@ -49,18 +58,36 @@ def complex_from_doc(doc) -> SimplicialComplex:
     return from_facets(labels, facets, max_vertices=len(labels))
 
 
+def _sorted_names(K: SimplicialComplex) -> dict[int, list[str]]:
+    """The names of every face of ``K``, sorted by string, from one pass
+    over ``K.faces()``: in (card, mask) order the face without its top
+    vertex comes first, so each face's list is that face's list with
+    the top vertex's name inserted."""
+    labels = K.labels
+    table: dict[int, list[str]] = {0: []}
+    for f in K.faces()[1:]:
+        h = f.bit_length() - 1
+        names = table[f ^ (1 << h)].copy()
+        insort(names, labels[h])
+        table[f] = names
+    return table
+
+
 def subdivision_to_doc(s: SubdivisionMap) -> dict:
     _check_labels(s.total.labels)
-    carrier = {}
-    for E, c in s.carrier.items():
-        if E == 0:
-            continue
-        carrier[_face_key(s.total.names(E))] = sorted(s.base.names(c))
+    keys = _sorted_names(s.total)
+    names = _sorted_names(s.base)
+    # Each value is a copy, so no two entries share a list.
+    carrier = {",".join(keys[E]): names[c].copy() for E, c in s.carrier.items() if E}
     return {
         "base": complex_to_doc(s.base),
         "total": complex_to_doc(s.total),
         "carrier": carrier,
     }
+
+
+def _bits(K: SimplicialComplex) -> dict[str, int]:
+    return {name: 1 << i for i, name in enumerate(K.labels)}
 
 
 def subdivision_from_doc(doc) -> SubdivisionMap:
@@ -73,16 +100,37 @@ def subdivision_from_doc(doc) -> SubdivisionMap:
     raw = doc["carrier"]
     if not isinstance(raw, dict):
         raise MalformedInstance("'carrier' must be an object")
+    t_bits = _bits(total)
+    b_bits = _bits(base)
     carrier = {0: 0}
     for key, names in raw.items():
-        face = total.mask(key.split(","))
+        # A lookup that misses, or a value that is not a list, takes
+        # the checked path, which raises the error.
+        try:
+            face = 0
+            for name in key.split(","):
+                face |= t_bits[name]
+        except KeyError:
+            face = total.mask(key.split(","))
         if face in carrier:
             raise MalformedInstance(f"carrier key {key!r} names a face twice")
-        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-            raise MalformedInstance(f"carrier of {key!r} must be a name list")
-        carrier[face] = base.mask(names)
-    missing = [E for E in total.faces() if E not in carrier]
-    if missing:
+        try:
+            if type(names) is not list:
+                raise TypeError
+            c = 0
+            for name in names:
+                c |= b_bits[name]
+        except (KeyError, TypeError):
+            if not isinstance(names, list) or not all(
+                isinstance(x, str) for x in names
+            ):
+                raise MalformedInstance(
+                    f"carrier of {key!r} must be a name list"
+                ) from None
+            c = base.mask(names)
+        carrier[face] = c
+    if not carrier.keys() >= total.face_set:
+        missing = [E for E in total.faces() if E not in carrier]
         raise MalformedInstance(
             f"carrier missing for {len(missing)} faces, "
             f"first: {sorted(total.names(missing[0]))}"

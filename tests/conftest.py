@@ -217,6 +217,37 @@ def literal_complex(masks) -> tuple[frozenset[int], tuple[int, ...]]:
     return frozenset(facets), tuple(sorted(faces, key=lambda m: (m.bit_count(), m)))
 
 
+def _literal_names(K: SimplicialComplex, mask: int) -> list[str]:
+    return [K.labels[i] for i in iter_bits(mask)]
+
+
+def literal_complex_doc(K: SimplicialComplex) -> dict:
+    """`serialize.complex_to_doc` by its definition: each facet's names
+    in label order, sorted on an explicit (size, names) key."""
+    facets = sorted(
+        (_literal_names(K, f) for f in K.facets), key=lambda ns: (len(ns), ns)
+    )
+    return {"labels": list(K.labels), "facets": facets}
+
+
+def literal_subdivision_doc(s: SubdivisionMap) -> dict:
+    """`serialize.subdivision_to_doc` by its definition: each nonempty
+    face's names and its carrier's names, read bit by bit and sorted by
+    string, in the order of ``s.carrier``."""
+    carrier = {
+        ",".join(sorted(_literal_names(s.total, E))): sorted(
+            _literal_names(s.base, c)
+        )
+        for E, c in s.carrier.items()
+        if E
+    }
+    return {
+        "base": literal_complex_doc(s.base),
+        "total": literal_complex_doc(s.total),
+        "carrier": carrier,
+    }
+
+
 def brute_downward_closed(K: SimplicialComplex) -> bool:
     faces = K.face_set
     return all(

@@ -403,6 +403,26 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     assert main(["suite", "--checks", "bogus", "--count", "1"]) == 3
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_undecodable_input_exits_3_without_traceback(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagsub", "gamma", str(path)],
+        capture_output=True,
+        text=True,
+        env={**_module_env(), "PYTHONIOENCODING": "utf-8", "LC_ALL": "C.UTF-8"},
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: cannot read {path}")
+    assert "Traceback" not in proc.stderr
+
+
 # Two disjoint edges over a 1-simplex: every structural carrier rule
 # holds, but the restriction to the full base face is not a ball.
 DISJOINT_EDGES = {

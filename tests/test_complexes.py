@@ -12,6 +12,7 @@ from flagsub.complexes import (
     cross_polytope_on,
     face_counts,
     from_facets,
+    iter_bits,
     iter_submasks,
     link_table,
     simplex,
@@ -315,6 +316,44 @@ def test_construction_matches_literal_oracle(case):
     assert at[-1] == K.num_faces()
     for k in range(K.dim + 2):
         assert all(f.bit_count() == k for f in K.faces()[at[k] : at[k + 1]])
+
+
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=16),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=4),
+        )
+    )
+)
+@example((0, [], [0]))  # {empty}
+@example((0, [0], []))
+@example((4, [7, 11, 13, 14, 3, 1], [15]))  # hollow tetrahedron, dominated
+@example((5, [7, 24, 3, 0], [31, 16]))  # impure: a triangle and an edge
+@example((6, [21, 22, 25, 26, 37, 38, 41, 42], []))  # octahedron: shared ridges
+def test_names_and_construction_match_literal_forms(case):
+    # Each facet adds only the submasks its faces seen so far lack, so
+    # generators that share ridges, repeat or are dominated all occur.
+    n, gens, masks = case
+    K = SimplicialComplex([str(9 - i) for i in range(n)], gens)
+    facets, faces = literal_complex(gens)
+    assert K.facets == facets
+    assert K.faces() == faces
+    for m in (*faces, *masks):
+        assert K.names(m) == tuple(K.labels[i] for i in iter_bits(m))
+
+
+def test_construction_matches_literal_on_shuffled_facets():
+    rng = random.Random(3)
+    for K in (cross_polytope(4), ball_to_sphere(example_complexes("ex-2.3c")).total):
+        for _ in range(5):
+            gens = list(K.facets) + rng.sample(K.faces(), 10)
+            rng.shuffle(gens)
+            facets, faces = literal_complex(gens)
+            L = SimplicialComplex(K.labels, gens)
+            assert L.facets == facets == K.facets
+            assert L.faces() == faces == K.faces()
 
 
 @given(
