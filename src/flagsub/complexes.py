@@ -159,8 +159,10 @@ class SimplicialComplex:
         return len(self._faces)
 
     def f_vector(self) -> tuple[int, ...]:
-        """Face counts (f_-1, f_0, ..., f_{dim}) with f_-1 = 1."""
-        return tuple(face_counts(self._faces))
+        """Face counts (f_-1, f_0, ..., f_{dim}) with f_-1 = 1, read from
+        the `card_offsets` of the face list."""
+        at = card_offsets(self._faces, self._faces[-1].bit_count())
+        return tuple(b - a for a, b in zip(at, at[1:]))
 
     def is_pure(self) -> bool:
         cards = {f.bit_count() for f in self.facets}
@@ -303,7 +305,8 @@ def face_counts(faces: Iterable[int]) -> list[int]:
     Most calls count a link of a few dozen faces at most.  On CPython
     3.11 this loop counts those in about half the time that reading
     their `card_offsets` takes; the offsets win only on families of
-    thousands of faces."""
+    thousands of faces, so `SimplicialComplex.f_vector` reads them for
+    a whole face list."""
     counts: list[int] = []
     for f in faces:
         k = f.bit_count()
@@ -327,6 +330,18 @@ def link_table(K: SimplicialComplex) -> dict[int, list[int]]:
         for f in iter_submasks(g):
             links[f].append(g ^ f)
     return links
+
+
+def adjacency(K: SimplicialComplex) -> list[int]:
+    """The neighbours of each label's vertex in the graph of ``K``, as
+    one mask per label."""
+    adj = [0] * len(K.labels)
+    at = card_offsets(K.faces(), 2)
+    for e in K.faces()[at[2] : at[3]]:
+        a = e & -e
+        adj[a.bit_length() - 1] |= e ^ a
+        adj[e.bit_length() - 1] |= a
+    return adj
 
 
 def card_offsets(faces: Sequence[int], top: int) -> list[int]:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .complexes import (
     SimplicialComplex,
+    adjacency,
     cross_polytope,
     cross_polytope_on,
     from_faces,
@@ -51,6 +52,14 @@ def sigma_cross_polytope_map(
     u_i for its members x_i plus the v_i for every i with E + x_i not
     a face.  Flagness is always checked; homology-sphere certification
     over GF(2) is optional because it is expensive.
+
+    As K is flag, E + x_i is a face iff x_i is in E or adjacent to
+    every vertex of E.  So each face reads its common neighbourhood:
+    that of the face without its lowest vertex, which comes earlier in
+    (card, mask) order, cut by the neighbours of that vertex.  The
+    members of E in the facet, and the facet vertices outside E and
+    its common neighbourhood, are then turned into the u and v bits by
+    one table over the subsets of the facet, all of them faces of K.
     """
     if not K.is_flag():
         raise NotFlag("source complex is not flag")
@@ -65,17 +74,21 @@ def sigma_cross_polytope_map(
             raise NotASphere(f"source classifies as {hc.kind}")
     d = len(choice.ordered)
     base = cross_polytope(d)
-    x_bits = [K.mask([x]) for x in choice.ordered]
-    face_set = K.face_set
-    carrier = {}
-    for E in K.faces():
-        c = 0
-        for i, xb in enumerate(x_bits):
-            if E & xb:
-                c |= 1 << i
-            elif (E | xb) not in face_set:
-                c |= 1 << (d + i)
-        carrier[E] = c
+    # position bits 1 << i of each subset of the facet, x_i the i-th
+    # vertex of the ordering
+    position = {0: 0}
+    for i, x in enumerate(choice.ordered):
+        xb = K.mask([x])
+        position.update([(m | xb, p | 1 << i) for m, p in position.items()])
+    adj = adjacency(K)
+    common = {0: (1 << len(K.labels)) - 1}
+    for E in K.faces()[1:]:
+        low = E & -E
+        common[E] = common[E ^ low] & adj[low.bit_length() - 1]
+    carrier = {
+        E: position[E & facet_mask] | position[facet_mask & ~(E | near)] << d
+        for E, near in common.items()
+    }
     return SubdivisionMap(K, base, carrier)
 
 

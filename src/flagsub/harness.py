@@ -12,10 +12,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .complexes import (
     SimplicialComplex,
+    adjacency,
     card_offsets,
     cross_polytope,
     iter_bits,
@@ -27,12 +29,14 @@ from .polynomials import (
     GammaVector,
     IntPolynomial,
     SymmetryFailure,
+    gamma_from_symmetric,
     gamma_vector,
     h_polynomial,
 )
 from .subdivisions import (
     SubdivisionMap,
     _gamma_terms,
+    _local_gamma,
     _relative_local_h_table,
     barycenter_name,
     check_h_decomposition,
@@ -211,15 +215,10 @@ def _grow(
     base = K
     labels = list(K.labels)
     taken = set(labels)
-    adj = [0] * len(labels)
-    at = card_offsets(K.faces(), 2)
-    for e in K.faces()[at[2] : at[3]]:
-        a = e & -e
-        adj[a.bit_length() - 1] |= e ^ a
-        adj[e.bit_length() - 1] |= a
+    adj = adjacency(K)
     carriers = [1 << i for i in range(len(labels))]
     removed: list[int] = []
-    edges = at[3] - at[2]
+    edges = sum(map(int.bit_count, adj)) // 2
     count = K.num_faces()
     for _ in range(steps):
         move = EDGE_SUBDIVIDE if moves is None else moves[rng.randrange(len(moves))]
@@ -320,8 +319,19 @@ class CheckResult:
 
 @dataclass
 class Instance:
-    """A suite instance.  Each check reads the fields named in its
-    `Check.reads` and is skipped when any of them is ``None``."""
+    """A suite instance: the fields a generator sets, and the invariants
+    derived from them.
+
+    Each check reads the fields and derived values named in its
+    `Check.reads`, and is skipped when any of them is ``None``.  A
+    derived value (`map`, `h`, `gamma`, `local_h`, `quasi_geometric_local_h`
+    and `xi`) is ``None`` when its source field is; all but `map` are
+    computed on first read and kept for the life of the instance, so
+    every check and `_digests` share one computation.  A read that
+    raises keeps nothing and raises again on the next read.  The kept
+    values assume the fields are not reassigned after they are read;
+    `dataclasses.replace` gives a new instance with nothing kept.
+    """
 
     id: str
     complex: SimplicialComplex | None = None
@@ -335,6 +345,41 @@ class Instance:
     def map(self) -> SubdivisionMap | None:
         """The subdivision if there is one, else the sphere pair."""
         return self.subdivision or self.pair
+
+    @cached_property
+    def h(self) -> IntPolynomial | None:
+        """h of the complex."""
+        return None if self.complex is None else h_polynomial(self.complex)
+
+    @cached_property
+    def gamma(self) -> GammaVector | SymmetryFailure | None:
+        """γ of the complex, or the `SymmetryFailure` of its h."""
+        if self.complex is None:
+            return None
+        return gamma_from_symmetric(self.h, self.complex.dim + 1)
+
+    @cached_property
+    def local_h(self) -> IntPolynomial | None:
+        """`SubdivisionMap.local_h` of the subdivision; raises
+        `BaseNotSimplex` when its base is not a simplex."""
+        return None if self.subdivision is None else self.subdivision.local_h()
+
+    @cached_property
+    def quasi_geometric_local_h(self) -> IntPolynomial | None:
+        """`local_h`, where Stanley's theorem makes it nonnegative: also
+        ``None`` when the subdivision is not quasi-geometric, which is
+        tested first, on any base."""
+        s = self.subdivision
+        if s is None or s.quasi_geometric_witness() is not None:
+            return None
+        return self.local_h
+
+    @cached_property
+    def xi(self) -> GammaVector | None:
+        """`SubdivisionMap.local_gamma` of the subdivision, from `local_h`."""
+        if self.subdivision is None:
+            return None
+        return _local_gamma(self.local_h, len(self.subdivision.base.labels))
 
 
 @dataclass
@@ -364,8 +409,7 @@ def _coords(g: GammaVector | SymmetryFailure) -> list[int] | dict:
     return g.to_list()
 
 
-def _check_gal(K: SimplicialComplex) -> CheckResult:
-    g = gamma_vector(K)
+def _check_gal(g: GammaVector | SymmetryFailure) -> CheckResult:
     if isinstance(g, SymmetryFailure):
         return CheckResult("fail", {"symmetry_failure": g.to_dict()})
     if g.is_nonnegative():
@@ -373,8 +417,7 @@ def _check_gal(K: SimplicialComplex) -> CheckResult:
     return CheckResult("fail", {"gamma": g.to_list()})
 
 
-def _check_local_gamma(s: SubdivisionMap) -> CheckResult:
-    xi = s.local_gamma()
+def _check_local_gamma(xi: GammaVector) -> CheckResult:
     if xi.is_nonnegative():
         return CheckResult("pass")
     return CheckResult("fail", {"xi": xi.to_list()})
@@ -407,8 +450,7 @@ def _check_monotonicity(pair: SubdivisionMap) -> CheckResult:
     )
 
 
-def _check_unimodality(s: SubdivisionMap) -> CheckResult:
-    ell = s.local_h()
+def _check_unimodality(ell: IntPolynomial) -> CheckResult:
     if ell.is_unimodal():
         return CheckResult("pass")
     return CheckResult("fail", {"local_h": ell.to_list()})
@@ -432,17 +474,13 @@ def _check_relative_symmetry(s: SubdivisionMap) -> CheckResult:
     return CheckResult("pass")
 
 
-def _check_local_h_symmetry(s: SubdivisionMap) -> CheckResult:
-    ell = s.local_h()
+def _check_local_h_symmetry(s: SubdivisionMap, ell: IntPolynomial) -> CheckResult:
     if ell.is_symmetric(len(s.base.labels)):
         return CheckResult("pass")
     return CheckResult("fail", {"local_h": ell.to_list()})
 
 
-def _check_local_h_nonneg(s: SubdivisionMap) -> CheckResult:
-    if s.quasi_geometric_witness() is not None:
-        return CheckResult("skipped")
-    ell = s.local_h()
+def _check_local_h_nonneg(ell: IntPolynomial) -> CheckResult:
     if ell.is_nonnegative():
         return CheckResult("pass")
     return CheckResult("fail", {"local_h": ell.to_list()})
@@ -467,21 +505,20 @@ def _check_locality(outer: SubdivisionMap, inner: SubdivisionMap) -> CheckResult
 
 
 def _check_xi_product(
-    s: SubdivisionMap, factors: tuple[SubdivisionMap, SubdivisionMap]
+    factors: tuple[SubdivisionMap, SubdivisionMap], xi: GammaVector
 ) -> CheckResult:
     s1, s2 = factors
-    lhs = s.local_gamma().polynomial()
+    lhs = xi.polynomial()
     rhs = s1.local_gamma().polynomial() * s2.local_gamma().polynomial()
     if lhs == rhs:
         return CheckResult("pass")
     return CheckResult("fail", {"lhs": lhs.to_list(), "rhs": rhs.to_list()})
 
 
-def _check_xi_formulas(s: SubdivisionMap) -> CheckResult:
+def _check_xi_formulas(s: SubdivisionMap, xi: GammaVector) -> CheckResult:
     d = len(s.base.labels)
     if d < 1:
         return CheckResult("skipped")
-    xi = s.local_gamma()
     stats = s.interior_stats()
     if xi.coeffs[0] != 0:
         return CheckResult("fail", {"xi": xi.to_list(), "reason": "xi_0 != 0"})
@@ -523,8 +560,12 @@ def _check_hierarchy(s: SubdivisionMap) -> CheckResult:
 @dataclass(frozen=True)
 class Check:
     """A named check of the suite.  ``fn`` takes the `Instance` fields
-    named in ``reads``, in that order; `run_conjecture_suite` skips the
-    check on an instance where any of them is ``None``."""
+    and derived values named in ``reads``, in that order.
+    `run_conjecture_suite` reads them in that order and skips the check
+    at the first that is ``None``, without reading the rest.  So a plain
+    field comes before a derived value that may raise, as ``factors``
+    does before ``xi``: a check that one missing field skips raises
+    nothing."""
 
     name: str
     tier: str
@@ -535,20 +576,30 @@ class Check:
 CHECKS: dict[str, Check] = {
     c.name: c
     for c in [
-        Check("gal", CONJECTURE, ("complex",), _check_gal),
-        Check("local-gamma", CONJECTURE, ("subdivision",), _check_local_gamma),
+        Check("gal", CONJECTURE, ("gamma",), _check_gal),
+        Check("local-gamma", CONJECTURE, ("xi",), _check_local_gamma),
         Check("monotonicity", CONJECTURE, ("pair",), _check_monotonicity),
-        Check("unimodality", CONJECTURE, ("subdivision",), _check_unimodality),
+        Check("unimodality", CONJECTURE, ("local_h",), _check_unimodality),
         Check(
             "relative-symmetry", CONJECTURE, ("subdivision",), _check_relative_symmetry
         ),
         Check("field-agreement", CONJECTURE, ("complex",), _check_field_agreement),
-        Check("local-h-symmetry", THEOREM, ("subdivision",), _check_local_h_symmetry),
-        Check("local-h-nonneg", THEOREM, ("subdivision",), _check_local_h_nonneg),
+        Check(
+            "local-h-symmetry",
+            THEOREM,
+            ("subdivision", "local_h"),
+            _check_local_h_symmetry,
+        ),
+        Check(
+            "local-h-nonneg",
+            THEOREM,
+            ("quasi_geometric_local_h",),
+            _check_local_h_nonneg,
+        ),
         Check("h-decomposition", THEOREM, ("map",), _check_h_decomposition),
         Check("locality", THEOREM, ("outer", "inner"), _check_locality),
-        Check("xi-product", THEOREM, ("subdivision", "factors"), _check_xi_product),
-        Check("xi-formulas", THEOREM, ("subdivision",), _check_xi_formulas),
+        Check("xi-product", THEOREM, ("factors", "xi"), _check_xi_product),
+        Check("xi-formulas", THEOREM, ("subdivision", "xi"), _check_xi_formulas),
         Check("hierarchy", THEOREM, ("map",), _check_hierarchy),
     ]
 }
@@ -557,16 +608,15 @@ CHECKS: dict[str, Check] = {
 def _digests(inst: Instance) -> dict[str, list[int]]:
     out: dict[str, list[int]] = {}
     if inst.complex is not None:
-        g = _gamma_or_none(inst.complex)
-        if g is not None:
-            out["gamma"] = g.to_list()
-        out["h"] = h_polynomial(inst.complex).to_list()
+        if not isinstance(inst.gamma, SymmetryFailure):
+            out["gamma"] = inst.gamma.to_list()
+        out["h"] = inst.h.to_list()
     if inst.subdivision is not None:
         # A base that is not a simplex or a map that is no homology
         # subdivision has no local digests; any other error is a defect.
         try:
-            out["local_h"] = inst.subdivision.local_h().to_list()
-            out["xi"] = inst.subdivision.local_gamma().to_list()
+            out["local_h"] = inst.local_h.to_list()
+            out["xi"] = inst.xi.to_list()
         except FlagsubError:
             pass
     return out
@@ -587,8 +637,13 @@ def run_conjecture_suite(
 ) -> list[ConjectureReport]:
     """Evaluate the named checks on every instance.
 
-    A check whose `Check.reads` names a field that is ``None`` on an
-    instance is recorded there as skipped, without being called.
+    A check whose `Check.reads` names a field or derived value that is
+    ``None`` on an instance is recorded there as skipped, without being
+    called.  Each
+    check's timing covers the values it reads; a derived value that
+    several checks share is computed once, and its time is charged to
+    the first check that reads it (`_digests` reads the same values,
+    after the checks, untimed).
 
     Failures never raise; they are recorded with witnesses.  Use
     `has_theorem_failure` to decide whether a run uncovered an
@@ -601,9 +656,12 @@ def run_conjecture_suite(
         for name in sorted(checks):
             check = CHECKS[name]
             t0 = time.perf_counter()
-            fields = [getattr(inst, f) for f in check.reads]
-            if any(f is None for f in fields):
-                rep.checks[name] = CheckResult("skipped")
+            fields = []
+            for f in check.reads:
+                fields.append(getattr(inst, f))
+                if fields[-1] is None:
+                    rep.checks[name] = CheckResult("skipped")
+                    break
             else:
                 rep.checks[name] = check.fn(*fields)
             rep.timings[name] = time.perf_counter() - t0

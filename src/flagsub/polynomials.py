@@ -183,7 +183,8 @@ def local_h_from_counts(
 
 def h_polynomial(K: SimplicialComplex) -> IntPolynomial:
     """h-polynomial: the face sum x**|F| (1-x)**(d-|F|) with d = dim+1."""
-    return h_from_face_counts(K.f_vector(), K.dim + 1)
+    f = K.f_vector()
+    return h_from_face_counts(f, len(f) - 1)
 
 
 def interior_h_polynomial(
@@ -284,21 +285,26 @@ def gamma_from_symmetric(
     ``d`` is the symmetry center parameter and is always passed
     explicitly: it need not equal the degree of ``h``.  Extraction
     eliminates from gamma_0 upward; if ``h`` is not symmetric the first
-    violated pair (i, d-i) is reported instead.
+    violated pair (i, d-i) is reported instead.  The elimination runs in
+    place on the coefficients padded to d + 1: gamma_i is the residual
+    at x**i, and subtracting gamma_i x**i (1+x)**(d-2i) clears it.
     """
     if h.degree > d:
         raise ValueError(f"degree {h.degree} exceeds d = {d}")
+    cs = list(h.coeffs)
+    cs += [0] * (d + 1 - len(cs))
     for i in range(d // 2 + 1):
-        if h[i] != h[d - i]:
-            return SymmetryFailure(d, i, d - i, h[i], h[d - i])
-    residual = h
+        if cs[i] != cs[d - i]:
+            return SymmetryFailure(d, i, d - i, cs[i], cs[d - i])
     gammas = []
     for i in range(d // 2 + 1):
-        g = residual[i]
+        g = cs[i]
         gammas.append(g)
         if g:
-            residual = residual - one_plus_x_power(d - 2 * i).shift(i) * g
-    assert not residual, "symmetric polynomial left a nonzero residual"
+            width = d - 2 * i
+            for j in range(width + 1):
+                cs[i + j] -= g * comb(width, j)
+    assert not any(cs), "symmetric polynomial left a nonzero residual"
     return GammaVector(d, tuple(gammas))
 
 

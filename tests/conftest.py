@@ -18,9 +18,21 @@ from flagsub.complexes import (
     iter_submasks,
     sphere_zero,
 )
+from flagsub.errors import FlagsubError, NotHomologySubdivision
 from flagsub.homology import GF2, FieldSpec, HomologyClass, reduced_betti
+from flagsub.polynomials import (
+    GammaVector,
+    IntPolynomial,
+    SymmetryFailure,
+    h_polynomial,
+    one_plus_x_power,
+)
 from flagsub.subdivisions import (
     SubdivisionMap,
+    _gamma_terms,
+    _relative_local_h_table,
+    check_h_decomposition,
+    check_locality,
     compose,
     edge_subdivision,
     join_subdivision,
@@ -381,3 +393,247 @@ def oracle_trail(
         if sizes is not None:
             sizes.append(s.total.num_faces())
     return s
+
+
+def oracle_gamma_from_symmetric(h: IntPolynomial, d: int):
+    """`polynomials.gamma_from_symmetric` as one `IntPolynomial`
+    subtraction of x**i (1+x)**(d-2i) per coordinate."""
+    if h.degree > d:
+        raise ValueError(f"degree {h.degree} exceeds d = {d}")
+    for i in range(d // 2 + 1):
+        if h[i] != h[d - i]:
+            return SymmetryFailure(d, i, d - i, h[i], h[d - i])
+    residual = h
+    gammas = []
+    for i in range(d // 2 + 1):
+        g = residual[i]
+        gammas.append(g)
+        if g:
+            residual = residual - one_plus_x_power(d - 2 * i).shift(i) * g
+    assert not residual, "symmetric polynomial left a nonzero residual"
+    return GammaVector(d, tuple(gammas))
+
+
+def literal_sigma_carrier(K: SimplicialComplex, ordered) -> dict[int, int]:
+    """The carriers of `constructions.sigma_cross_polytope_map`, each
+    E + x_i looked up in the face set."""
+    d = len(ordered)
+    x_bits = [K.mask([x]) for x in ordered]
+    carrier = {}
+    for E in K.faces():
+        c = 0
+        for i, xb in enumerate(x_bits):
+            if E & xb:
+                c |= 1 << i
+            elif (E | xb) not in K.face_set:
+                c |= 1 << (d + i)
+        carrier[E] = c
+    return carrier
+
+
+# -- the suite's checks, each computing what it reads ---------------------
+
+
+def _literal_gamma(K: SimplicialComplex):
+    return oracle_gamma_from_symmetric(h_polynomial(K), K.dim + 1)
+
+
+def _literal_xi(s: SubdivisionMap) -> GammaVector:
+    g = oracle_gamma_from_symmetric(s.local_h(), len(s.base.labels))
+    if isinstance(g, SymmetryFailure):
+        raise NotHomologySubdivision("local h-polynomial not symmetric")
+    return g
+
+
+def _result(status: str, witness: dict | None = None) -> dict:
+    if witness is None:
+        return {"status": status}
+    return {"status": status, "witness": witness}
+
+
+def _coords(g) -> list[int] | dict:
+    if isinstance(g, SymmetryFailure):
+        return {"symmetry_failure": g.to_dict()}
+    return g.to_list()
+
+
+def _literal_gal(inst):
+    g = _literal_gamma(inst.complex)
+    if isinstance(g, SymmetryFailure):
+        return _result("fail", {"symmetry_failure": g.to_dict()})
+    if g.is_nonnegative():
+        return _result("pass")
+    return _result("fail", {"gamma": g.to_list()})
+
+
+def _literal_local_gamma(inst):
+    xi = _literal_xi(inst.subdivision)
+    if xi.is_nonnegative():
+        return _result("pass")
+    return _result("fail", {"xi": xi.to_list()})
+
+
+def _literal_monotonicity(inst):
+    pair = inst.pair
+    g_base, g_total = _literal_gamma(pair.base), _literal_gamma(pair.total)
+    if isinstance(g_base, SymmetryFailure) or isinstance(g_total, SymmetryFailure):
+        return _result("fail", {"reason": "gamma undefined on one side"})
+    if g_total >= g_base:
+        return _result("pass")
+    terms = [
+        {"face": list(pair.base.names(F)), "xi": _coords(xi), "gamma_link": _coords(g)}
+        for F, xi, g in _gamma_terms(pair)
+    ]
+    witness = {
+        "gamma_base": g_base.to_list(),
+        "gamma_total": g_total.to_list(),
+        "terms": terms,
+    }
+    return _result("fail", witness)
+
+
+def _literal_unimodality(inst):
+    ell = inst.subdivision.local_h()
+    if ell.is_unimodal():
+        return _result("pass")
+    return _result("fail", {"local_h": ell.to_list()})
+
+
+def _literal_relative_symmetry(inst):
+    s = inst.subdivision
+    d = len(s.base.labels)
+    for E, ell in _relative_local_h_table(s).items():
+        if ell.reflect(d - E.bit_count()) != ell:
+            face = list(s.total.names(E))
+            return _result("fail", {"face": face, "relative_local_h": ell.to_list()})
+    return _result("pass")
+
+
+def _literal_field_agreement(inst):
+    from flagsub.homology import QQ, _verdicts
+
+    verdicts = _verdicts(inst.complex, QQ)
+    over_gf2, over_q = verdicts[0], verdicts[-1]
+    if (over_gf2.kind, over_gf2.dimension) == (over_q.kind, over_q.dimension):
+        return _result("pass")
+    witness = {"gf2": over_gf2.kind, "q": over_q.kind, "dimension": over_gf2.dimension}
+    return _result("fail", witness)
+
+
+def _literal_local_h_symmetry(inst):
+    s = inst.subdivision
+    ell = s.local_h()
+    if ell.is_symmetric(len(s.base.labels)):
+        return _result("pass")
+    return _result("fail", {"local_h": ell.to_list()})
+
+
+def _literal_local_h_nonneg(inst):
+    s = inst.subdivision
+    if not literal_quasi_geometric(s):
+        return _result("skipped")
+    ell = s.local_h()
+    if ell.is_nonnegative():
+        return _result("pass")
+    return _result("fail", {"local_h": ell.to_list()})
+
+
+def _literal_h_decomposition(inst):
+    chk = check_h_decomposition(inst.map)
+    if chk.ok:
+        return _result("pass")
+    witness = {"h_lhs": chk.h_lhs.to_list(), "h_rhs": chk.h_rhs.to_list()}
+    if not chk.gamma_equal:
+        witness["gamma_lhs"] = chk.gamma_lhs.to_list()
+        witness["gamma_rhs"] = chk.gamma_rhs.to_list()
+    return _result("fail", witness)
+
+
+def _literal_locality(inst):
+    chk = check_locality(inst.outer, inst.inner)
+    if chk.ok:
+        return _result("pass")
+    return _result("fail", {"lhs": chk.lhs.to_list(), "rhs": chk.rhs.to_list()})
+
+
+def _literal_xi_product(inst):
+    s1, s2 = inst.factors
+    lhs = _literal_xi(inst.subdivision).polynomial()
+    rhs = _literal_xi(s1).polynomial() * _literal_xi(s2).polynomial()
+    if lhs == rhs:
+        return _result("pass")
+    return _result("fail", {"lhs": lhs.to_list(), "rhs": rhs.to_list()})
+
+
+def _literal_xi_formulas(inst):
+    s = inst.subdivision
+    d = len(s.base.labels)
+    if d < 1:
+        return _result("skipped")
+    xi = _literal_xi(s)
+    stats = s.interior_stats()
+    if xi.coeffs[0] != 0:
+        return _result("fail", {"xi": xi.to_list(), "reason": "xi_0 != 0"})
+    p = xi.polynomial()
+    want2 = (
+        -(2 * d - 3) * stats.f0_interior + stats.f1_interior - stats.f0_codim1_relint
+    )
+    if (d >= 2 and p[1] != stats.f0_interior) or (d >= 4 and p[2] != want2):
+        return _result("fail", {"xi": xi.to_list(), "stats": stats.to_dict()})
+    return _result("pass")
+
+
+def _literal_hierarchy(inst):
+    s = inst.map
+    v = s.validate(fast=True)
+    if v.is_vertex_induced and not v.is_quasi_geometric:
+        return _result("fail", {"reason": "vertex-induced but not quasi-geometric"})
+    if v.is_vertex_induced and not v.is_flag_subdivision and s.total.is_flag():
+        return _result(
+            "fail", {"reason": "flag total + vertex-induced but not flag subdivision"}
+        )
+    return _result("pass")
+
+
+#: Each check of `harness.CHECKS` with the instance fields it needs, and
+#: a body that computes every invariant it uses itself.
+LITERAL_CHECKS = {
+    "gal": (("complex",), _literal_gal),
+    "local-gamma": (("subdivision",), _literal_local_gamma),
+    "monotonicity": (("pair",), _literal_monotonicity),
+    "unimodality": (("subdivision",), _literal_unimodality),
+    "relative-symmetry": (("subdivision",), _literal_relative_symmetry),
+    "field-agreement": (("complex",), _literal_field_agreement),
+    "local-h-symmetry": (("subdivision",), _literal_local_h_symmetry),
+    "local-h-nonneg": (("subdivision",), _literal_local_h_nonneg),
+    "h-decomposition": (("map",), _literal_h_decomposition),
+    "locality": (("outer", "inner"), _literal_locality),
+    "xi-product": (("subdivision", "factors"), _literal_xi_product),
+    "xi-formulas": (("subdivision",), _literal_xi_formulas),
+    "hierarchy": (("map",), _literal_hierarchy),
+}
+
+
+def literal_report(inst, checks) -> dict:
+    """The report of `harness.run_conjecture_suite` on one instance,
+    without timings: each check computes what it reads."""
+    out = {}
+    for name in sorted(checks):
+        fields, body = LITERAL_CHECKS[name]
+        if any(getattr(inst, f) is None for f in fields):
+            out[name] = _result("skipped")
+        else:
+            out[name] = body(inst)
+    digests = {}
+    if inst.complex is not None:
+        g = _literal_gamma(inst.complex)
+        if not isinstance(g, SymmetryFailure):
+            digests["gamma"] = g.to_list()
+        digests["h"] = h_polynomial(inst.complex).to_list()
+    if inst.subdivision is not None:
+        try:
+            digests["local_h"] = inst.subdivision.local_h().to_list()
+            digests["xi"] = _literal_xi(inst.subdivision).to_list()
+        except FlagsubError:
+            pass
+    return {"instance": inst.id, "checks": out, "digests": digests}

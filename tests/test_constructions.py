@@ -2,9 +2,15 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import literal_sigma_carrier
+
+from flagsub import constructions
 from flagsub.complexes import cross_polytope, from_facets, iter_submasks, simplex
 from flagsub.constructions import (
+    FIXTURE_NAMES,
     FacetChoice,
     ball_to_sphere,
     example_complexes,
@@ -116,6 +122,55 @@ def test_sigma_map_errors():
     path = from_facets(["a", "b", "c"], [["a", "b"], ["b", "c"]])
     with pytest.raises(NotASphere):
         sigma_cross_polytope_map(path, FacetChoice.of(["a", "b"]), verify_sphere=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([("edge-subdivide",), ("edge-subdivide", "join-with-S0")]),
+    st.integers(2, 4),
+    st.integers(0, 12),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_sigma_map_carriers_match_the_face_set_lookup(moves, dim, steps, seed, data):
+    if len(moves) == 2:
+        dim, steps = 2, steps % 5  # each join triples the face count
+    K, _ = random_flag_sphere(GeneratorSpec(dim, steps, seed, moves))
+    facet = data.draw(st.sampled_from(sorted(K.facets)))
+    ordered = data.draw(st.permutations(K.names(facet)))
+    s = sigma_cross_polytope_map(K, FacetChoice.of(ordered))
+    assert list(s.carrier.items()) == list(literal_sigma_carrier(K, ordered).items())
+
+
+def test_sigma_map_carriers_on_fixtures(monkeypatch):
+    # The fixture totals are balls, which the map onto a sphere refuses
+    # as not surjective, so the carriers are read as the map receives
+    # them: at every facet of each flag total among the fixtures; the
+    # others, and their ball_to_sphere extensions, are not flag.
+    totals = []
+    for name in FIXTURE_NAMES:
+        s = example_complexes(name)
+        totals += [s.total, ball_to_sphere(s).total]
+    monkeypatch.setattr(constructions, "SubdivisionMap", lambda K, base, c: c)
+    flag = 0
+    for K in totals:
+        for facet in sorted(K.facets):
+            ordered = K.names(facet)
+            if not K.is_flag():
+                with pytest.raises(NotFlag):
+                    sigma_cross_polytope_map(K, FacetChoice.of(ordered))
+                continue
+            flag += 1
+            got = sigma_cross_polytope_map(K, FacetChoice.of(ordered))
+            assert list(got.items()) == list(literal_sigma_carrier(K, ordered).items())
+    assert flag
+
+
+def test_sigma_map_refuses_a_complex_that_is_not_flag_first():
+    # Not flag, not a sphere, and the choice is not a facet.
+    K = from_facets(list("abcd"), [["a", "b"], ["a", "c"], ["b", "c"], ["c", "d"]])
+    with pytest.raises(NotFlag):
+        sigma_cross_polytope_map(K, FacetChoice.of(["a"]), verify_sphere=True)
 
 
 # -- ball to sphere ------------------------------------------------------------

@@ -2,15 +2,16 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_trail
-from flagsub import harness
+from conftest import literal_report, oracle_trail
+from flagsub import harness, polynomials, subdivisions
 from flagsub.complexes import SimplicialComplex, cross_polytope, simplex
-from flagsub.errors import MalformedInstance
+from flagsub.errors import FlagsubError, MalformedInstance
 from flagsub.harness import (
     CHECKS,
     CONJECTURE,
@@ -286,18 +287,18 @@ def test_monotonicity_witness_lists_the_gamma_terms():
 
 def test_check_registry_tiers():
     assert {name: (c.tier, c.reads) for name, c in CHECKS.items()} == {
-        "gal": (CONJECTURE, ("complex",)),
-        "local-gamma": (CONJECTURE, ("subdivision",)),
+        "gal": (CONJECTURE, ("gamma",)),
+        "local-gamma": (CONJECTURE, ("xi",)),
         "monotonicity": (CONJECTURE, ("pair",)),
-        "unimodality": (CONJECTURE, ("subdivision",)),
+        "unimodality": (CONJECTURE, ("local_h",)),
         "relative-symmetry": (CONJECTURE, ("subdivision",)),
         "field-agreement": (CONJECTURE, ("complex",)),
-        "local-h-symmetry": (THEOREM, ("subdivision",)),
-        "local-h-nonneg": (THEOREM, ("subdivision",)),
+        "local-h-symmetry": (THEOREM, ("subdivision", "local_h")),
+        "local-h-nonneg": (THEOREM, ("quasi_geometric_local_h",)),
         "h-decomposition": (THEOREM, ("map",)),
         "locality": (THEOREM, ("outer", "inner")),
-        "xi-product": (THEOREM, ("subdivision", "factors")),
-        "xi-formulas": (THEOREM, ("subdivision",)),
+        "xi-product": (THEOREM, ("factors", "xi")),
+        "xi-formulas": (THEOREM, ("subdivision", "xi")),
         "hierarchy": (THEOREM, ("map",)),
     }
 
@@ -319,10 +320,20 @@ def _full_instance() -> Instance:
     )
 
 
+#: The fields each derived value is read from.  `map` is the
+#: subdivision, else the pair, so it is None only when both are.
+_SOURCES = {
+    "map": ("subdivision", "pair"),
+    "h": ("complex",),
+    "gamma": ("complex",),
+    "local_h": ("subdivision",),
+    "quasi_geometric_local_h": ("subdivision",),
+    "xi": ("subdivision",),
+}
+
+
 def _without(inst: Instance, name: str) -> Instance:
-    # `map` is the subdivision, else the pair, so it is None only when
-    # both are.
-    fields = ("subdivision", "pair") if name == "map" else (name,)
+    fields = _SOURCES.get(name, (name,))
     return dataclasses.replace(inst, **dict.fromkeys(fields))
 
 
@@ -344,6 +355,95 @@ def test_a_check_is_skipped_exactly_when_a_field_it_reads_is_missing(name):
     for missing in CHECKS[name].reads:
         (report,) = run_conjecture_suite([_without(inst, missing)], {name})
         assert report.checks[name] == CheckResult("skipped"), missing
+
+
+_BASE_NOT_SIMPLEX = {
+    "field-agreement": "skipped",
+    "gal": "skipped",
+    "h-decomposition": "pass",
+    "hierarchy": "pass",
+    "local-gamma": "BaseNotSimplex",
+    "local-h-nonneg": "BaseNotSimplex",
+    "local-h-symmetry": "BaseNotSimplex",
+    "locality": "skipped",
+    "monotonicity": "skipped",
+    "relative-symmetry": "BaseNotSimplex",
+    "unimodality": "BaseNotSimplex",
+    "xi-formulas": "BaseNotSimplex",
+    "xi-product": "skipped",
+}
+
+
+def _outcome(inst: Instance, name: str) -> str:
+    try:
+        (report,) = run_conjecture_suite([inst], {name})
+    except FlagsubError as exc:
+        return type(exc).__name__
+    return report.checks[name].status
+
+
+@pytest.mark.parametrize(
+    "key", ["ex-2.3a", "ex-2.3b", "ex-2.3c", "rem-4.5", "sphere-pair"]
+)
+def test_local_checks_on_a_base_that_is_not_a_simplex(key):
+    # A map onto a sphere given as `subdivision`: the local checks raise
+    # `BaseNotSimplex`, except that local-h-nonneg first skips a map
+    # that is not quasi-geometric, and there are no local digests.
+    from flagsub.constructions import ball_to_sphere, example_complexes
+
+    if key == "sphere-pair":
+        s = random_sphere_pair(4, 1, 1, 3)
+    else:
+        s = ball_to_sphere(example_complexes(key))
+    want = dict(_BASE_NOT_SIMPLEX)
+    if key in ("ex-2.3a", "rem-4.5"):
+        want["local-h-nonneg"] = "skipped"
+    got = {name: _outcome(Instance(id=key, subdivision=s), name) for name in CHECKS}
+    assert got == want
+    factors = (trivial_subdivision(simplex(["a"])),) * 2
+    inst = Instance(id=key, subdivision=s, factors=factors)
+    assert _outcome(inst, "xi-product") == "BaseNotSimplex"
+    (report,) = run_conjecture_suite([Instance(id=key, subdivision=s)], set())
+    assert report.digests == {}
+
+
+def _suite_instance(seed: int) -> Instance:
+    """The instance `flagsub suite --dim 4` builds at ``seed``."""
+    steps = seed % 5
+    return Instance(
+        id=f"d4-s{seed}",
+        complex=random_flag_sphere(GeneratorSpec(4, steps, seed))[0],
+        subdivision=random_simplex_subdivision(("p1", "p2", "p3", "p4"), steps, seed),
+        pair=random_sphere_pair(4, steps, 1 + seed % 3, seed),
+    )
+
+
+def test_derived_values_are_computed_once_per_instance(monkeypatch):
+    calls = Counter()
+    real_local_h = SubdivisionMap.local_h
+    real_h = polynomials.h_polynomial
+
+    def local_h(self):
+        calls["local_h", id(self)] += 1
+        return real_local_h(self)
+
+    def h_polynomial(K):
+        calls["h", id(K)] += 1
+        return real_h(K)
+
+    monkeypatch.setattr(SubdivisionMap, "local_h", local_h)
+    for module in (polynomials, harness, subdivisions):
+        monkeypatch.setattr(module, "h_polynomial", h_polynomial)
+    for inst in (_full_instance(), _suite_instance(3), _suite_instance(4)):
+        want = literal_report(inst, CHECKS)
+        calls.clear()
+        (report,) = run_conjecture_suite([inst], set(CHECKS))
+        doc = report.to_dict()
+        del doc["timings_ms"]
+        assert doc == want
+        assert calls["local_h", id(inst.subdivision)] == 1
+        assert calls["h", id(inst.complex)] == 1
+        assert all(n == 1 for (kind, _), n in calls.items() if kind == "local_h")
 
 
 def test_unknown_check_rejected():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagsub.complexes import cross_polytope, cross_polytope_on, from_facets, simplex
@@ -27,7 +27,7 @@ from flagsub.polynomials import (
 )
 from flagsub.subdivisions import barycentric_subdivision
 
-from conftest import literal_is_eulerian, sympy_h
+from conftest import literal_is_eulerian, oracle_gamma_from_symmetric, sympy_h
 
 
 def test_polynomial_arithmetic_basics():
@@ -215,6 +215,47 @@ def test_symmetrized_polynomial_always_extracts(cs):
     g = gamma_from_symmetric(h, d)
     assert isinstance(g, GammaVector)
     assert g.expand() == h
+
+
+@st.composite
+def _centred_polynomials(draw):
+    """A width d and up to d + 1 coefficients, mirrored about d/2 or
+    not; the trailing ones may be zero, so the degree may be below d."""
+    d = draw(st.integers(-1, 9))
+    cs = draw(st.lists(st.integers(-50, 50), max_size=d + 1))
+    if draw(st.booleans()):
+        cs += [0] * (d + 1 - len(cs))
+        cs = cs[: d // 2 + 1] + cs[: (d + 1) // 2][::-1]
+    return IntPolynomial(cs), d
+
+
+@settings(max_examples=300)
+@given(_centred_polynomials())
+@example((IntPolynomial(), 0))
+@example((IntPolynomial([3]), 0))
+@example((IntPolynomial([2, 2]), 1))
+@example((IntPolynomial([2, 3]), 1))
+@example((IntPolynomial([0, 1]), 3))
+def test_gamma_matches_the_polynomial_elimination(case):
+    # Equal results, down to the first violated pair and its
+    # coefficients when h is not symmetric.
+    h, d = case
+    assert gamma_from_symmetric(h, d) == oracle_gamma_from_symmetric(h, d)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(-2, 8),
+    st.lists(st.integers(-50, 50), max_size=3),
+    st.integers(1, 50),
+)
+def test_gamma_refuses_a_degree_above_d(d, middle, top):
+    h = IntPolynomial([0] * (d + 1) + middle + [top])
+    with pytest.raises(ValueError) as got:
+        gamma_from_symmetric(h, d)
+    with pytest.raises(ValueError) as want:
+        oracle_gamma_from_symmetric(h, d)
+    assert str(got.value) == str(want.value)
 
 
 def test_gamma_of_sphere_with_subdivided_edge():
