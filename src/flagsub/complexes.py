@@ -53,7 +53,7 @@ class SimplicialComplex:
     that the faces so far may lack.
     """
 
-    __slots__ = ("labels", "facets", "_index", "_faces", "_face_set", "_mnf")
+    __slots__ = ("labels", "facets", "_index", "_faces", "_face_set")
 
     def __init__(self, labels: Iterable[str], facet_masks: Iterable[int]):
         labels = tuple(labels)
@@ -111,7 +111,6 @@ class SimplicialComplex:
         self.facets = frozenset(facets)
         self._faces = tuple(ordered)
         self._face_set = frozenset(faces)
-        self._mnf = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -229,21 +228,15 @@ class SimplicialComplex:
     # -- flagness ---------------------------------------------------------
 
     def minimal_non_faces(self) -> tuple[int, ...]:
-        """Inclusion-minimal non-faces among subsets of the vertex set.
+        """Inclusion-minimal non-faces among subsets of the vertex set,
+        computed afresh on each call.
 
         Labels that occur in no face are ignored: flagness is a property
         of the complex on its own vertices, and this keeps links and
         joins of flag complexes flag.
         """
-        if self._mnf is not None:
-            return self._mnf
         support = self.vertex_support
-        adjacent: dict[int, int] = {}
-        for f in self._faces:
-            if f.bit_count() == 2:
-                a = f & -f
-                adjacent[a] = adjacent.get(a, 0) | (f ^ a)
-                adjacent[f ^ a] = adjacent.get(f ^ a, 0) | a
+        adj = adjacency(self)
         # Candidates at cardinality k are (k-1)-faces plus one support
         # vertex; a candidate is minimal iff all its facets are faces.
         # From k = 3 on, that makes the added vertex a common neighbour
@@ -253,7 +246,7 @@ class SimplicialComplex:
         for face in self._faces:
             if face:
                 low = face & -face
-                common[face] = common[face ^ low] & adjacent.get(low, 0)
+                common[face] = common[face ^ low] & adj[low.bit_length() - 1]
             reach = common[face] if face.bit_count() > 1 else support & ~face
             for i in iter_bits(reach):
                 cand = face | (1 << i)
@@ -264,38 +257,19 @@ class SimplicialComplex:
                     for j in iter_bits(cand)
                 ):
                     result.add(cand)
-        self._mnf = tuple(sorted(sorted(result), key=int.bit_count))
-        return self._mnf
+        return tuple(sorted(sorted(result), key=int.bit_count))
 
     def is_flag(self) -> bool:
         """Whether every clique of the graph is a face, that is, every
         minimal non-face has two vertices.
 
-        A clique of three or more vertices is a smaller clique plus a
-        common neighbour of its vertices above its top vertex, so by
-        induction on size it suffices that every such extension of a
-        face is a face.  The faces are walked in (card, mask) order, the
-        common neighbourhood of each built from the face without its
-        lowest vertex, and the walk stops at the first extension that is
-        not a face.  Minimal non-faces already listed are read instead.
+        Every face is a clique of the graph on the vertex support, so
+        the graph has at least as many cliques as the complex has faces,
+        and exactly as many iff every clique is a face.  The cliques are
+        counted by `clique_count`, capped one past the face count.
         """
-        if self._mnf is not None:
-            return all(m.bit_count() == 2 for m in self._mnf)
-        at = card_offsets(self._faces, 2)
-        common: dict[int, int] = {}
-        for f in self._faces[at[2] : at[3]]:
-            a = f & -f
-            common[a] = common.get(a, 0) | (f ^ a)
-            common[f ^ a] = common.get(f ^ a, 0) | a
-        adjacent = common.copy()
-        for face in self._faces[at[2] :]:
-            low = face & -face
-            reach = common[face] = common[face ^ low] & adjacent[low]
-            top = face.bit_length()
-            for i in iter_bits(reach >> top):
-                if face | (1 << (top + i)) not in self._face_set:
-                    return False
-        return True
+        n = self.num_faces()
+        return clique_count(adjacency(self), self.vertex_support, n) == n
 
 
 def face_counts(faces: Iterable[int]) -> list[int]:
@@ -342,6 +316,33 @@ def adjacency(K: SimplicialComplex) -> list[int]:
         adj[a.bit_length() - 1] |= e ^ a
         adj[e.bit_length() - 1] |= a
     return adj
+
+
+def clique_count(adj: Sequence[int], within: int, limit: int) -> int:
+    """The cliques of the graph ``adj`` (one neighbour mask per vertex)
+    inside the vertex mask ``within``, the empty one included, or
+    ``limit + 1`` if there are more than ``limit``.
+
+    Each clique is counted once, from its vertices in increasing order:
+    a mask on the stack holds the vertices that may follow a clique
+    already counted, each of them a clique one larger.  The walk is an
+    explicit stack, so a large clique needs no deep recursion, and the
+    cap bounds its time and the stack by ``limit``.
+    """
+    count = 1
+    stack = [within]
+    while stack:
+        rest = stack.pop()
+        count += rest.bit_count()
+        if count > limit:
+            return limit + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            up = rest & adj[low.bit_length() - 1]
+            if up:
+                stack.append(up)
+    return count
 
 
 def card_offsets(faces: Sequence[int], top: int) -> list[int]:

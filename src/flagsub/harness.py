@@ -19,6 +19,7 @@ from .complexes import (
     SimplicialComplex,
     adjacency,
     card_offsets,
+    clique_count,
     cross_polytope,
     iter_bits,
     simplex,
@@ -83,18 +84,6 @@ def _cross_polytope_start(dimension: int) -> SimplicialComplex:
     # 3**dimension faces; past the cap's bit length 2**d alone exceeds it.
     _size_guard(3 ** min(dimension, MAX_FACES.bit_length()))
     return cross_polytope(dimension)
-
-
-def _clique_count(adj: list[int], within: int) -> int:
-    """The cliques of the graph ``adj`` inside the vertex mask
-    ``within``, the empty one included, each counted from its lowest
-    vertex."""
-    count = 1
-    while within:
-        low = within & -within
-        within ^= low
-        count += _clique_count(adj, within & adj[low.bit_length() - 1])
-    return count
 
 
 def _nth_edge(adj: list[int], r: int) -> tuple[int, int]:
@@ -204,9 +193,11 @@ def _grow(
     The size guard reads the exact face count after each step.
     Subdividing uv replaces the star of uv by w joined with its rim,
     which adds 2 f(lk uv) faces; lk uv is the clique complex of the
-    common neighbourhood of u and v, and f counts the empty face.  A
-    join triples the count.  So a step beyond `MAX_FACES` is refused
-    before any complex of that size is built.
+    common neighbourhood of u and v, and f counts the empty face.  The
+    guard reads f(lk uv) from `clique_count` capped at `MAX_FACES`: past
+    the cap the count is not exact, but the step is refused all the
+    same.  A join triples the count.  So a step beyond `MAX_FACES` is
+    refused before any complex of that size is built.
     """
     if steps < 0:
         raise MalformedInstance("steps must be >= 0")
@@ -230,7 +221,7 @@ def _grow(
             if name in taken:
                 raise VertexCollision(f"label {name!r} already present")
             common = adj[i] & adj[j]
-            count += 2 * _clique_count(adj, common)
+            count += 2 * clique_count(adj, common, MAX_FACES)
             _size_guard(count)
             if j < len(K.labels):
                 removed.append(1 << i | 1 << j)

@@ -124,6 +124,30 @@ def sympy_h_of(K: SimplicialComplex):
     )
 
 
+def literal_is_flag(K: SimplicialComplex) -> bool:
+    """The walk `SimplicialComplex.is_flag` used before it counted
+    cliques: every extension of a face by a common neighbour of its
+    vertices above its top vertex must be a face.  The faces are walked
+    in (card, mask) order, the common neighbourhood of each built from
+    the face without its lowest vertex."""
+    faces = K.faces()
+    at = card_offsets(faces, 2)
+    common: dict[int, int] = {}
+    for f in faces[at[2] : at[3]]:
+        a = f & -f
+        common[a] = common.get(a, 0) | (f ^ a)
+        common[f ^ a] = common.get(f ^ a, 0) | a
+    adjacent = common.copy()
+    for face in faces[at[2] :]:
+        low = face & -face
+        reach = common[face] = common[face ^ low] & adjacent[low]
+        top = face.bit_length()
+        for i in iter_bits(reach >> top):
+            if not K.has_face(face | (1 << (top + i))):
+                return False
+    return True
+
+
 def literal_is_eulerian(K: SimplicialComplex) -> bool:
     """Direct rule: every face link L = K.link(f) has reduced Euler
     characteristic (-1)**dim(L), counted face by face."""

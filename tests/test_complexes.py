@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from flagsub.cli import main
 from flagsub.complexes import (
     SimplicialComplex,
+    adjacency,
     card_offsets,
+    clique_count,
     cross_polytope,
     cross_polytope_on,
     face_counts,
@@ -26,7 +30,15 @@ from flagsub.errors import (
     UnknownVertex,
 )
 
-from conftest import brute_downward_closed, literal_complex
+from flagsub.harness import (
+    EDGE_SUBDIVIDE,
+    JOIN_WITH_S0,
+    GeneratorSpec,
+    random_flag_sphere,
+)
+from flagsub.serialize import complex_to_doc
+
+from conftest import brute_downward_closed, literal_complex, literal_is_flag
 
 
 def masks_to_names(K, masks):
@@ -214,8 +226,8 @@ def test_minimal_non_faces_square():
 
 
 def _assert_is_flag_by_minimal_non_faces(make):
-    # `make` builds a fresh complex, so the first `is_flag` call finds
-    # no minimal non-faces cached; the second reads the cache.
+    # `make` builds a fresh complex; `is_flag` must agree with the
+    # minimal non-faces before and after they are listed.
     want = all(m.bit_count() == 2 for m in make().minimal_non_faces())
     K = make()
     assert K.is_flag() == want
@@ -256,6 +268,97 @@ def test_is_flag_matches_minimal_non_faces_on_fixtures():
     for make in makers:
         _assert_is_flag_by_minimal_non_faces(make)
     assert not any(make().is_flag() for make in makers[:3])
+
+
+def _brute_cliques(K, within):
+    """Every subset of ``within`` whose vertex pairs are all edges of K,
+    the empty one included."""
+    return [
+        m
+        for m in iter_submasks(within)
+        if all(
+            K.has_face(1 << i | 1 << j)
+            for i in iter_bits(m)
+            for j in iter_bits(m)
+            if i < j
+        )
+    ]
+
+
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+            st.integers(0, (1 << n) - 1),
+            st.integers(0, 40),
+        )
+    )
+)
+@example((0, 0, [], 0, 0))  # {empty}
+@example((0, 2, [], 0, 1))  # {empty} on labels that are no vertices
+@example((3, 0, [3, 5, 6], 7, 7))  # the hollow triangle: 8 cliques, 7 faces
+@example((5, 1, [7, 24, 3], 31, 40))  # impure: a triangle and an edge
+@example((7, 0, [127], 127, 127))  # the 6-simplex: 128 cliques, cap 127
+def test_is_flag_and_clique_count_match_brute_force(case):
+    # Labels past the n drawn occur in no face.
+    n, unused, gens, within, limit = case
+    K = SimplicialComplex([f"w{i}" for i in range(n + unused)], gens)
+    cliques = _brute_cliques(K, K.vertex_support)
+    assert K.is_flag() == all(K.has_face(m) for m in cliques)
+    want = len(_brute_cliques(K, within))
+    got = clique_count(adjacency(K), within, limit)
+    assert got == (want if want <= limit else limit + 1)
+
+
+def test_is_flag_matches_the_face_walk():
+    specs = [GeneratorSpec(d, steps, 0) for d in (2, 3, 4) for steps in (0, 5, 20)]
+    specs += [
+        GeneratorSpec(d, steps, 0, (EDGE_SUBDIVIDE, JOIN_WITH_S0))
+        for d in (2, 3)
+        for steps in (1, 4, 6)
+    ]
+    totals = [random_flag_sphere(spec)[0] for spec in specs]
+    for name in FIXTURE_NAMES:
+        s = example_complexes(name)
+        totals += [s.total, ball_to_sphere(s).total]
+    flags = [K.is_flag() for K in totals]
+    assert flags == [literal_is_flag(K) for K in totals]
+    # The generated spheres are flag; ex-2.3b and every extension by
+    # `ball_to_sphere`, that of rem-4.5 included, are not.
+    assert all(flags[: len(specs)])
+    assert flags[len(specs) :] == [True, False, False, False, True, False, True, False]
+
+
+def _skeleton_of_39_simplex():
+    labels = [f"w{i}" for i in range(40)]
+    return SimplicialComplex(
+        labels, [1 << i | 1 << j for i in range(40) for j in range(i)]
+    )
+
+
+def test_clique_count_on_a_huge_clique_is_capped_without_recursion():
+    n = 1100
+    full = (1 << n) - 1
+    adj = [full ^ (1 << i) for i in range(n)]
+    assert clique_count(adj, full, 5000) == 5001
+
+
+def test_is_flag_on_the_skeleton_of_a_large_simplex():
+    # 2**40 cliques against 821 faces: the count stops at 822.
+    K = _skeleton_of_39_simplex()
+    assert K.num_faces() == 821
+    assert not K.is_flag()
+
+
+def test_sigma_map_refuses_the_skeleton_of_a_large_simplex(capsys, tmp_path):
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(complex_to_doc(_skeleton_of_39_simplex())))
+    assert main(["sigma-map", str(path), "--facet", "w0,w1"]) == 3
+    err = capsys.readouterr().err
+    assert "not flag" in err
+    assert "Traceback" not in err
 
 
 def test_full_simplex_is_flag():
