@@ -12,8 +12,9 @@ import json
 import os
 import re
 import sys
+from math import comb
 
-from . import __version__
+from . import __version__, harness
 from .constructions import (
     FIXTURE_NAMES,
     FacetChoice,
@@ -152,8 +153,27 @@ def _cmd_stellar(args) -> int:
     return 0
 
 
+def _barycentric_num_faces(n: int) -> int:
+    """Face count of the barycentric subdivision of the (n-1)-simplex.
+
+    A face is a chain of nonempty subsets of the n vertices.  The chains
+    that end in the full set are the ordered set partitions, counted by
+    the ordered Bell number a(n); adding or dropping the full set pairs
+    them with the others, so there are 2 a(n)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return 2 * a[n]
+
+
 def _cmd_barycentric(args) -> int:
-    _emit(subdivision_to_doc(barycentric_subdivision(args.vertices.split(","))))
+    names = args.vertices.split(",")
+    if _barycentric_num_faces(len(names)) > harness.MAX_FACES:
+        raise MalformedInstance(
+            f"barycentric subdivision on {len(names)} vertices exceeds "
+            f"{harness.MAX_FACES} faces"
+        )
+    _emit(subdivision_to_doc(barycentric_subdivision(names)))
     return 0
 
 

@@ -15,13 +15,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GroundSetOverlap,
-    GroundSetTooLarge,
     NotAFace,
     UnknownVertex,
 )
-
-#: Default bitset width for ground sets built through `from_facets`.
-DEFAULT_MAX_VERTICES = 64
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -377,20 +373,15 @@ def _translate(mask: int, table: dict[int, int]) -> int:
 
 
 def from_facets(
-    labels: Iterable[str],
-    generators: Iterable[Iterable[str]],
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    labels: Iterable[str], generators: Iterable[Iterable[str]]
 ) -> SimplicialComplex:
     """Downward closure of the given generators.
 
     Dominated generators are dropped silently so the stored facets form
     an antichain.  An empty generator list yields the complex ``{empty}``.
+    Faces are unbounded integers, so any number of labels is accepted.
     """
     labels = tuple(labels)
-    if len(labels) > max_vertices:
-        raise GroundSetTooLarge(
-            f"{len(labels)} labels exceed the width limit {max_vertices}"
-        )
     index = _label_index(labels)
     return SimplicialComplex(labels, [_mask(index, g) for g in generators])
 

@@ -9,10 +9,6 @@ class UnknownVertex(FlagsubError):
     """A generator or face mentions a name outside the ground set."""
 
 
-class GroundSetTooLarge(FlagsubError):
-    """Ground set exceeds the configured bitset width."""
-
-
 class GroundSetOverlap(FlagsubError):
     """Simplicial join requested on complexes with shared vertex names."""
 

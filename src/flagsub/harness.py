@@ -121,53 +121,31 @@ def _cliques_into(
 
 
 def _clique_trail(
-    K: SimplicialComplex,
     labels: tuple[str, ...],
     adj: list[int],
     carriers: list[int],
     base: SimplicialComplex,
-    removed: list[int],
 ) -> SubdivisionMap:
     """The clique complex of the graph ``adj`` on ``labels``, carried onto
-    ``base`` by the unions of the vertex ``carriers``, for a trail grown
-    from the trivial subdivision of ``K``, whose vertices come first.
+    ``base`` by the unions of the vertex ``carriers``.
 
-    A clique on the vertices of K is a face of K with none of the
-    ``removed`` edges of K, and keeps its own carrier.  Every other
-    clique has a new top vertex w, and is w with a clique of the
-    neighbours of w below it.  So each cardinality lists the kept faces
-    of K, then the new cliques by top vertex, in (card, mask) order.
-    Both moves keep a pure complex pure, so the facets are the faces of
-    the top cardinality.
+    Each nonempty clique is found once, from its top vertex w, as w with
+    a clique of the neighbours of w below it; the faces are then put in
+    (card, mask) order.  Both moves keep a pure complex pure, so the
+    facets are the faces of the top cardinality.
     """
-    n0 = len(K.labels)
-    kept = K.faces()
-    for e in removed:
-        kept = [f for f in kept if f & e != e]
-    found: dict[int, int] = {}
-    for w in range(n0, len(labels)):
-        below = adj[w] & ((1 << w) - 1)
+    found = {0: 0}
+    for w, nbrs in enumerate(adj):
+        below = nbrs & ((1 << w) - 1)
         _cliques_into(found, adj, carriers, 1 << w, carriers[w], below)
-    new = sorted(found)
-    new.sort(key=int.bit_count)
-    # New faces are carried onto the base's own face objects, which the
-    # map then shares instead of holding a new integer for each face.
-    needed = set(found.values())
-    onto = {F: F for F in base.faces() if F in needed}
-    top = max(kept[-1].bit_count(), new[-1].bit_count())
-    at_kept = card_offsets(kept, top)
-    at_new = card_offsets(new, top)
-    faces: list[int] = []
-    carrier: dict[int, int] = {}
-    for k in range(top + 1):
-        old = kept[at_kept[k] : at_kept[k + 1]]
-        grown = new[at_new[k] : at_new[k + 1]]
-        faces += old
-        faces += grown
-        carrier.update(zip(old, old))
-        grown_onto = map(onto.__getitem__, map(found.__getitem__, grown))
-        carrier.update(zip(grown, grown_onto))
-    facets = faces[at_kept[top] + at_new[top] :]
+    faces = sorted(found)
+    faces.sort(key=int.bit_count)
+    # Faces are carried onto the base's own face objects, which the map
+    # then shares instead of holding a new integer for each face.
+    onto = {F: F for F in base.faces()}
+    carrier = dict(zip(faces, map(onto.__getitem__, map(found.__getitem__, faces))))
+    top = faces[-1].bit_count()
+    facets = faces[card_offsets(faces, top)[top] :]
     total = SimplicialComplex._from_ordered(labels, facets, faces)
     return SubdivisionMap._from_valid(total, base, carrier)
 
@@ -188,7 +166,10 @@ def _grow(
     labels and one carrier per vertex; the total is the clique complex
     of that graph, and every face is carried onto the union of its
     vertex carriers, as the composite of the stellar maps and joins
-    carries it.  `_clique_trail` builds the map once, at the end.
+    carries it.  `_clique_trail` builds the map once, at the end, from
+    the final graph alone: the faces of K that a step did not cut are
+    just its cliques on the vertices of K, so no record of the removed
+    edges is kept.
 
     The size guard reads the exact face count after each step.
     Subdividing uv replaces the star of uv by w joined with its rim,
@@ -208,7 +189,6 @@ def _grow(
     taken = set(labels)
     adj = adjacency(K)
     carriers = [1 << i for i in range(len(labels))]
-    removed: list[int] = []
     edges = sum(map(int.bit_count, adj)) // 2
     count = K.num_faces()
     for _ in range(steps):
@@ -223,8 +203,6 @@ def _grow(
             common = adj[i] & adj[j]
             count += 2 * clique_count(adj, common, MAX_FACES)
             _size_guard(count)
-            if j < len(K.labels):
-                removed.append(1 << i | 1 << j)
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
             star = common | 1 << i | 1 << j
@@ -247,7 +225,7 @@ def _grow(
             edges += 2 * len(labels)
             labels += pair
             taken.update(pair)
-    return _clique_trail(K, tuple(labels), adj, carriers, base, removed)
+    return _clique_trail(tuple(labels), adj, carriers, base)
 
 
 def random_flag_sphere(spec: GeneratorSpec) -> tuple[SimplicialComplex, SubdivisionMap]:

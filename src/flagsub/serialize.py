@@ -53,9 +53,7 @@ def complex_from_doc(doc) -> SimplicialComplex:
     ):
         raise MalformedInstance("'facets' must be a list of name lists")
     _check_labels(labels)
-    # Faces are unbounded integers, so a document is read at its own
-    # width: every complex the tool writes reads back, whatever its size.
-    return from_facets(labels, facets, max_vertices=len(labels))
+    return from_facets(labels, facets)
 
 
 def _sorted_names(K: SimplicialComplex) -> dict[int, list[str]]:

@@ -18,13 +18,14 @@ from flagsub.complexes import (
     iter_submasks,
     sphere_zero,
 )
-from flagsub.errors import FlagsubError, NotHomologySubdivision
+from flagsub.errors import FlagsubError, NotAFace, NotHomologySubdivision
 from flagsub.homology import GF2, FieldSpec, HomologyClass, reduced_betti
 from flagsub.polynomials import (
     GammaVector,
     IntPolynomial,
     SymmetryFailure,
     h_polynomial,
+    local_h_from_counts,
     one_plus_x_power,
 )
 from flagsub.subdivisions import (
@@ -112,6 +113,24 @@ def sympy_relative_local_h(s: SubdivisionMap, E: int) -> list[int]:
                 k = G.bit_count() - e
                 expr += (-1) ** (d - F.bit_count()) * x**k * (1 - x) ** (width - k)
     return dense_coeffs(expr, d - e)
+
+
+def literal_relative_local_h(s: SubdivisionMap, E: int) -> IntPolynomial:
+    """`SubdivisionMap.relative_local_h` from the star of E rebuilt over
+    the facets: E joined with each subset of a facet through E, counted
+    by (|G|, |s(G)|).  The width is checked first, then that E is a face,
+    as the method does."""
+    d = s._simplex_width()
+    if E not in s.total.face_set:
+        raise NotAFace(f"{E:#b} is not a face")
+    star = {
+        E | f
+        for g in s.total.facets
+        if g & E == E
+        for f in iter_submasks(g ^ E)
+    }
+    counts = Counter((G.bit_count(), s.carrier[G].bit_count()) for G in star)
+    return local_h_from_counts(counts, d, E.bit_count())
 
 
 def sympy_h_of(K: SimplicialComplex):

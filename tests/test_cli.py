@@ -17,6 +17,7 @@ from flagsub.cli import main
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.harness import GeneratorSpec, random_flag_sphere
 from flagsub.serialize import complex_from_doc, subdivision_from_doc, subdivision_to_doc
+from flagsub.subdivisions import barycentric_subdivision
 
 HEX = {
     "labels": ["a", "b", "c", "d", "e", "f"],
@@ -95,6 +96,54 @@ def test_stellar_barycentric_compose_pipeline(capsys, tmp_path, hex_path):
     code, bary = run(capsys, "barycentric", "--vertices", "p,q,r")
     assert code == 0
     assert len(bary["total"]["labels"]) == 7
+
+
+def test_barycentric_face_count_is_twice_the_ordered_bell_number():
+    for n in range(1, 7):
+        s = barycentric_subdivision([f"p{i}" for i in range(n)])
+        assert cli._barycentric_num_faces(n) == s.total.num_faces()
+
+
+def test_barycentric_above_the_cap_exits_3_before_building():
+    # 8 names ask for 1,091,670 faces, past the cap of 2**18; building
+    # them took minutes and 722 MiB.
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagsub", "barycentric", "--vertices", "a,b,c,d,e,f,g,h"],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: barycentric subdivision on 8 vertices")
+    assert "Traceback" not in proc.stderr
+
+
+def test_barycentric_reads_the_cap_at_call_time(capsys, monkeypatch):
+    code, doc = run(capsys, "barycentric", "--vertices", "a,b,c,d,e")
+    assert code == 0
+    assert len(doc["total"]["labels"]) == 31
+    monkeypatch.setattr(harness, "MAX_FACES", 1081)
+    code, _ = run(capsys, "barycentric", "--vertices", "a,b,c,d,e")
+    assert code == 3
+    monkeypatch.setattr(harness, "MAX_FACES", 1082)
+    code, _ = run(capsys, "barycentric", "--vertices", "a,b,c,d,e")
+    assert code == 0
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = [
+        line.split()[1]
+        for line in readme.read_text().splitlines()
+        if line.startswith("flagsub ")
+    ]
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(named) == sorted(sub.choices)
 
 
 def test_local_h_and_gamma(capsys, tmp_path):

@@ -25,7 +25,6 @@ from flagsub.complexes import (
 from flagsub.constructions import FIXTURE_NAMES, ball_to_sphere, example_complexes
 from flagsub.errors import (
     GroundSetOverlap,
-    GroundSetTooLarge,
     NotAFace,
     UnknownVertex,
 )
@@ -36,7 +35,7 @@ from flagsub.harness import (
     GeneratorSpec,
     random_flag_sphere,
 )
-from flagsub.serialize import complex_to_doc
+from flagsub.serialize import complex_from_doc, complex_to_doc
 
 from conftest import brute_downward_closed, literal_complex, literal_is_flag
 
@@ -66,11 +65,16 @@ def test_from_facets_unknown_vertex():
         from_facets(["a", "a"], [["x"]])
 
 
-def test_from_facets_width_limit():
-    labels = [f"t{i}" for i in range(65)]
-    with pytest.raises(GroundSetTooLarge):
-        from_facets(labels, [])
-    from_facets(labels, [], max_vertices=80)
+def test_from_facets_has_no_width_limit():
+    # Faces are unbounded integers: 100 labels build, and the complex
+    # reads back from its own document.
+    labels = [f"t{i}" for i in range(100)]
+    cycle = [[labels[i], labels[(i + 1) % 100]] for i in range(100)]
+    K = from_facets(labels, cycle + [["t97", "t98", "t99"]])
+    assert K.f_vector() == (1, 100, 101, 1)
+    assert max(K.facets).bit_length() == 100
+    L = complex_from_doc(json.loads(json.dumps(complex_to_doc(K))))
+    assert L == K and L.labels == K.labels
 
 
 def test_empty_complex_is_representable():

@@ -243,14 +243,46 @@ def test_graph_trail_equals_the_constructor_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_size_guard", record)
         got = generate()
-    want = oracle(sizes)
+    _assert_same_trail(got, oracle(sizes))
+    # The guard reads, after each step, the face count the oracle built.
+    assert counts == sizes
+
+
+def _assert_same_trail(got, want):
     for K, L in ((got.total, want.total), (got.base, want.base)):
         assert K.labels == L.labels
         assert K.faces() == L.faces()
         assert K.facets == L.facets
     assert list(got.carrier.items()) == list(want.carrier.items())
-    # The guard reads, after each step, the face count the oracle built.
-    assert counts == sizes
+
+
+def _cut_base_edges(s) -> list[set[str]]:
+    """The edges of the base that a step subdivided: their names span no
+    edge of the total."""
+    return [
+        set(s.base.names(e))
+        for e in s.base.faces()
+        if e.bit_count() == 2 and not s.total.has_face(s.total.mask(s.base.names(e)))
+    ]
+
+
+def test_pair_trail_that_cuts_an_edge_of_its_base():
+    got = random_sphere_pair(3, 2, 4, seed=0)
+    rng = random.Random(0)
+    K = oracle_trail(cross_polytope(3), 2, rng).total
+    _assert_same_trail(got, oracle_trail(K, 4, rng))
+    assert _cut_base_edges(got)
+
+
+def test_mixed_trail_that_cuts_a_start_edge_and_a_join_edge():
+    got = random_flag_sphere(GeneratorSpec(2, 5, 7, MIXED))[1]
+    _assert_same_trail(got, oracle_trail(cross_polytope(2), 5, random.Random(7), MIXED))
+    # The base is the start joined with two-point spheres, so its edges
+    # off the start's vertices are the ones the joins added.
+    start = set(cross_polytope(2).labels)
+    cut = _cut_base_edges(got)
+    assert any(e <= start for e in cut)
+    assert any(not e <= start for e in cut)
 
 
 def test_sphere_pair_is_subdivision_of_smaller_sphere():

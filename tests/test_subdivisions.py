@@ -15,6 +15,7 @@ from flagsub.complexes import (
 from flagsub.constructions import FIXTURE_NAMES, example_complexes
 from flagsub.errors import (
     BaseMismatch,
+    FlagsubError,
     BaseNotSimplex,
     CarrierMismatch,
     InvalidCarrier,
@@ -52,6 +53,7 @@ from flagsub.subdivisions import (
 
 from conftest import (
     dense_coeffs,
+    literal_relative_local_h,
     literal_is_eulerian,
     literal_quasi_geometric,
     poly_coeffs,
@@ -351,6 +353,38 @@ def test_relative_local_h_symmetry():
         for E in s.total.faces():
             ell = s.relative_local_h(E)
             assert ell.reflect(d - E.bit_count()) == ell
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except FlagsubError as exc:
+        return type(exc)
+
+
+def test_relative_local_h_matches_the_facet_star_histogram():
+    maps = [example_complexes(name) for name in FIXTURE_NAMES]
+    maps += [
+        random_simplex_subdivision(tuple(letters(2 + seed % 3)), seed % 7, seed)
+        for seed in range(12)
+    ]
+    maps.append(trivial_subdivision(simplex(["a"])))
+    # Bases that are not simplices: both refuse with BaseNotSimplex.
+    maps += [random_sphere_pair(2, 1, 2, 0), trivial_subdivision(cross_polytope(3))]
+    outcomes = set()
+    for s in maps:
+        # Every face, and every mask on the first six labels, which
+        # holds non-faces wherever the total is not a simplex.
+        n = len(s.total.labels)
+        masks = set(s.total.faces()) | set(range(1 << min(n, 6))) | {1 << n}
+        for E in sorted(masks):
+            want = _value_or_error(literal_relative_local_h, s, E)
+            assert _value_or_error(s.relative_local_h, E) == want
+            outcomes.add(want if isinstance(want, type) else IntPolynomial)
+        assert _value_or_error(s.local_h) == _value_or_error(
+            literal_relative_local_h, s, 0
+        )
+    assert outcomes == {IntPolynomial, NotAFace, BaseNotSimplex}
 
 
 def test_relative_local_h_rejects_non_face():
