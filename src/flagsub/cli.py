@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from math import comb
+from typing import Iterator
 
 from . import __version__, harness
 from .constructions import (
@@ -223,11 +224,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _suite_instances(args, checks: set[str]) -> list[Instance]:
-    """The seeded suite instances.  The sphere pair is built only when
-    one of ``checks`` reads it; `_digests` reads the other two fields."""
+def _suite_instances(args, checks: set[str]) -> Iterator[Instance]:
+    """The seeded suite instances, built one at a time as they are read,
+    so a run holds one instance at once.  The sphere pair is built only
+    when one of ``checks`` reads it; `_digests` reads the other two
+    fields."""
     with_pair = any("pair" in CHECKS[name].reads for name in checks)
-    instances = []
     for i in range(args.count):
         seed = args.seed + i
         steps = seed % 5
@@ -238,15 +240,12 @@ def _suite_instances(args, checks: set[str]) -> list[Instance]:
         pair = None
         if with_pair:
             pair = random_sphere_pair(args.dim, steps, 1 + seed % 3, seed)
-        instances.append(
-            Instance(
-                id=f"i{i:04d}-d{args.dim}-s{seed}",
-                complex=sphere,
-                subdivision=sub,
-                pair=pair,
-            )
+        yield Instance(
+            id=f"i{i:04d}-d{args.dim}-s{seed}",
+            complex=sphere,
+            subdivision=sub,
+            pair=pair,
         )
-    return instances
 
 
 def _cmd_suite(args) -> int:
@@ -259,8 +258,7 @@ def _cmd_suite(args) -> int:
     # Open the report first, so that a bad path is refused before any
     # instance is generated.
     with _open_out(args.out) if args.out else contextlib.nullcontext() as fh:
-        instances = _suite_instances(args, checks)
-        reports = run_conjecture_suite(instances, checks)
+        reports = run_conjecture_suite(_suite_instances(args, checks), checks)
         doc = {
             "rng": RNG_NAME,
             "dim": args.dim,

@@ -414,22 +414,25 @@ def cross_polytope_on(
     """Boundary complex of a cross-polytope with explicit antipodal pairs.
 
     Faces contain at most one of each pair ``{u_i, v_i}``; there are
-    ``2**d`` facets, one per choice of a member from every pair.
+    ``2**d`` facets, one per choice of a member from every pair.  The
+    ``3**d`` faces are written down directly, as the product over the
+    pairs of {∅, u_i, v_i}, and put in (card, mask) order by a sort on
+    the mask and a stable sort on the cardinality, so no facet is
+    closed downward.  A label repeated within or between the two sides
+    raises `UnknownVertex`.
     """
     u_labels, v_labels = tuple(u_labels), tuple(v_labels)
     d = len(u_labels)
     if len(v_labels) != d or d < 1:
         raise ValueError("need matching nonempty u/v label sequences")
-    facet_masks = []
-    for pick in range(1 << d):
-        m = 0
-        for i in range(d):
-            if (pick >> i) & 1:
-                m |= 1 << (d + i)  # v_i
-            else:
-                m |= 1 << i  # u_i
-        facet_masks.append(m)
-    return SimplicialComplex(u_labels + v_labels, facet_masks)
+    faces = [0]
+    for i in range(d):
+        faces += [f | 1 << i for f in faces] + [f | 1 << (d + i) for f in faces]
+    faces.sort()
+    faces.sort(key=int.bit_count)
+    return SimplicialComplex._from_ordered(
+        u_labels + v_labels, faces[-(1 << d) :], faces
+    )
 
 
 def cross_polytope(d: int) -> SimplicialComplex:

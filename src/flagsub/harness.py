@@ -18,7 +18,6 @@ from typing import Callable, Iterable
 from .complexes import (
     SimplicialComplex,
     adjacency,
-    card_offsets,
     clique_count,
     cross_polytope,
     iter_bits,
@@ -99,133 +98,155 @@ def _nth_edge(adj: list[int], r: int) -> tuple[int, int]:
         r -= k
 
 
-def _cliques_into(
-    found: dict[int, int],
-    adj: list[int],
-    carriers: list[int],
-    face: int,
-    carrier: int,
-    below: int,
-) -> None:
-    """File ``face`` and every clique that grows it by vertices of
-    ``below`` in ``found``, with the union of their vertex carriers.
-    ``below`` holds the common neighbours that may follow the vertices
-    of ``face`` in increasing order, so each clique is found once."""
-    found[face] = carrier
-    while below:
-        low = below & -below
-        below ^= low
-        i = low.bit_length() - 1
-        up = below & adj[i]
-        _cliques_into(found, adj, carriers, face | low, carrier | carriers[i], up)
-
-
 def _clique_trail(
-    labels: tuple[str, ...],
-    adj: list[int],
-    carriers: list[int],
-    base: SimplicialComplex,
-) -> SubdivisionMap:
-    """The clique complex of the graph ``adj`` on ``labels``, carried onto
-    ``base`` by the unions of the vertex ``carriers``.
+    labels: list[str], adj: list[int], carriers: list[int]
+) -> tuple[SimplicialComplex, list[int]]:
+    """The clique complex of the graph ``adj`` on ``labels``, and the
+    union of the vertex ``carriers`` of each of its faces, in face order.
 
-    Each nonempty clique is found once, from its top vertex w, as w with
-    a clique of the neighbours of w below it; the faces are then put in
-    (card, mask) order.  Both moves keep a pure complex pure, so the
-    facets are the faces of the top cardinality.
+    The cliques are walked level by level, with no sort and no
+    recursion.  A clique grows only by a common neighbour below its
+    lowest vertex, so each is found once, from the clique without its
+    lowest vertex.  Level k is walked in mask order and each clique
+    takes its new vertices in increasing order, so level k + 1 comes
+    out in mask order too: among masks of one cardinality mask order is
+    colex order, and every child of an earlier clique is smaller than
+    every child of a later one.  So the faces come out in (card, mask)
+    order.  Both moves keep a pure complex pure, so the facets are the
+    last level.
     """
-    found = {0: 0}
-    for w, nbrs in enumerate(adj):
-        below = nbrs & ((1 << w) - 1)
-        _cliques_into(found, adj, carriers, 1 << w, carriers[w], below)
-    faces = sorted(found)
-    faces.sort(key=int.bit_count)
-    # Faces are carried onto the base's own face objects, which the map
-    # then shares instead of holding a new integer for each face.
-    onto = {F: F for F in base.faces()}
-    carrier = dict(zip(faces, map(onto.__getitem__, map(found.__getitem__, faces))))
-    top = faces[-1].bit_count()
-    facets = faces[card_offsets(faces, top)[top] :]
-    total = SimplicialComplex._from_ordered(labels, facets, faces)
-    return SubdivisionMap._from_valid(total, base, carrier)
+    faces = [0]
+    found = [0]
+    level = [
+        (1 << w, carriers[w], nbrs & ((1 << w) - 1)) for w, nbrs in enumerate(adj)
+    ]
+    top = 0
+    while level:
+        top = len(faces)
+        deeper = []
+        for face, carrier, below in level:
+            faces.append(face)
+            found.append(carrier)
+            rest = below
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                deeper.append(
+                    (face | low, carrier | carriers[i], below & adj[i] & (low - 1))
+                )
+        level = deeper
+    return SimplicialComplex._from_ordered(tuple(labels), faces[top:], faces), found
+
+
+class _Trail:
+    """A random trail carried as its graph: the labels, one neighbour
+    mask and one carrier per vertex, the base the carriers are taken
+    in, and the edge and face counts of the graph's clique complex.
+
+    It starts from a pure flag complex ``K`` whose every label is a
+    vertex, as the trivial subdivision of ``K``.
+    """
+
+    def __init__(self, K: SimplicialComplex):
+        self.labels = list(K.labels)
+        self.adj = adjacency(K)
+        self.edges = sum(map(int.bit_count, self.adj)) // 2
+        self.count = K.num_faces()
+        self.rebase(K)
+
+    def rebase(self, K: SimplicialComplex) -> None:
+        """Start the carriers afresh over ``K``, the clique complex of the
+        graph as it stands, so that every vertex is carried onto itself."""
+        self.base = K
+        self.carriers = [1 << i for i in range(len(self.labels))]
+
+    def grow(self, steps: int, rng: random.Random, moves=None) -> None:
+        """Apply ``steps`` random moves.  With ``moves`` given, each step
+        draws one, even from a single move; else each step is an edge
+        subdivision and draws only the edge, uniformly from the edges in
+        (card, mask) order.
+
+        Both moves keep the complex flag: subdividing the edge uv by a
+        new vertex w drops uv and joins w to u, v and their common
+        neighbours, and a join with S^0 adds two vertices joined to
+        every old vertex.  So a step changes only the graph, the labels
+        and the carriers: the total is the clique complex of the graph,
+        and every face is carried onto the union of its vertex carriers,
+        as the composite of the stellar maps and joins carries it.
+
+        The size guard reads the exact face count after each step.
+        Subdividing uv replaces the star of uv by w joined with its rim,
+        which adds 2 f(lk uv) faces; lk uv is the clique complex of the
+        common neighbourhood of u and v, and f counts the empty face.
+        The guard reads f(lk uv) from `clique_count` capped at
+        `MAX_FACES`: past the cap the count is not exact, but the step
+        is refused all the same.  A join triples the count.  So a step
+        beyond `MAX_FACES` is refused before any complex of that size is
+        built.
+        """
+        labels, adj, carriers = self.labels, self.adj, self.carriers
+        for _ in range(steps):
+            move = EDGE_SUBDIVIDE if moves is None else moves[rng.randrange(len(moves))]
+            if move == EDGE_SUBDIVIDE:
+                if not self.edges:
+                    raise MalformedInstance("complex has no edges to subdivide")
+                i, j = _nth_edge(adj, rng.randrange(self.edges))
+                name = barycenter_name((labels[i], labels[j]))
+                if name in labels:
+                    raise VertexCollision(f"label {name!r} already present")
+                common = adj[i] & adj[j]
+                self.count += 2 * clique_count(adj, common, MAX_FACES)
+                _size_guard(self.count)
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                star = common | 1 << i | 1 << j
+                for b in iter_bits(star):
+                    adj[b] |= 1 << len(labels)
+                adj.append(star)
+                carriers.append(carriers[i] | carriers[j])
+                labels.append(name)
+                self.edges += 1 + common.bit_count()
+            else:
+                self.count *= 3
+                _size_guard(self.count)
+                n, m = len(labels), len(self.base.labels)
+                pair = (f"u{m // 2 + 1}", f"v{m // 2 + 1}")
+                adj[:] = [nbrs | 3 << n for nbrs in adj] + [(1 << n) - 1] * 2
+                carriers += [1 << m, 2 << m]
+                self.base = self.base.join(sphere_zero(*pair))
+                self.edges += 2 * n
+                labels += pair
+
+    def subdivision(self) -> SubdivisionMap:
+        """The trail as a map from the clique complex onto the base."""
+        total, found = _clique_trail(self.labels, self.adj, self.carriers)
+        # Faces are carried onto the base's own face objects, which the
+        # map then shares instead of holding a new integer for each face.
+        onto = {F: F for F in self.base.faces()}
+        carrier = dict(zip(total.faces(), map(onto.__getitem__, found)))
+        return SubdivisionMap._from_valid(total, self.base, carrier)
 
 
 def _grow(
     K: SimplicialComplex, steps: int, rng: random.Random, moves=None
 ) -> SubdivisionMap:
     """The trivial subdivision of ``K``, a pure flag complex whose every
-    label is a vertex, composed with ``steps`` random moves on its total.
-    With ``moves`` given, each step draws one, even from a single move;
-    else each step is an edge subdivision and draws only the edge,
-    uniformly from the edges in (card, mask) order.
+    label is a vertex, composed with ``steps`` random moves on its total
+    (see `_Trail.grow`).
 
-    Both moves keep the total flag: subdividing the edge uv by a new
-    vertex w drops uv and joins w to u, v and their common neighbours,
-    and a join with S^0 adds two vertices joined to every old vertex.
-    So the trail is carried as its graph (adjacency bitmasks), its
-    labels and one carrier per vertex; the total is the clique complex
-    of that graph, and every face is carried onto the union of its
-    vertex carriers, as the composite of the stellar maps and joins
-    carries it.  `_clique_trail` builds the map once, at the end, from
-    the final graph alone: the faces of K that a step did not cut are
-    just its cliques on the vertices of K, so no record of the removed
-    edges is kept.
-
-    The size guard reads the exact face count after each step.
-    Subdividing uv replaces the star of uv by w joined with its rim,
-    which adds 2 f(lk uv) faces; lk uv is the clique complex of the
-    common neighbourhood of u and v, and f counts the empty face.  The
-    guard reads f(lk uv) from `clique_count` capped at `MAX_FACES`: past
-    the cap the count is not exact, but the step is refused all the
-    same.  A join triples the count.  So a step beyond `MAX_FACES` is
-    refused before any complex of that size is built.
+    The steps change only the graph, so the map is built once, at the
+    end, by `_clique_trail` from the final graph alone: the faces of K
+    that a step did not cut are just its cliques on the vertices of K,
+    so no record of the removed edges is kept.
     """
     if steps < 0:
         raise MalformedInstance("steps must be >= 0")
     if steps == 0:
         return trivial_subdivision(K)
-    base = K
-    labels = list(K.labels)
-    taken = set(labels)
-    adj = adjacency(K)
-    carriers = [1 << i for i in range(len(labels))]
-    edges = sum(map(int.bit_count, adj)) // 2
-    count = K.num_faces()
-    for _ in range(steps):
-        move = EDGE_SUBDIVIDE if moves is None else moves[rng.randrange(len(moves))]
-        if move == EDGE_SUBDIVIDE:
-            if not edges:
-                raise MalformedInstance("complex has no edges to subdivide")
-            i, j = _nth_edge(adj, rng.randrange(edges))
-            name = barycenter_name((labels[i], labels[j]))
-            if name in taken:
-                raise VertexCollision(f"label {name!r} already present")
-            common = adj[i] & adj[j]
-            count += 2 * clique_count(adj, common, MAX_FACES)
-            _size_guard(count)
-            adj[i] ^= 1 << j
-            adj[j] ^= 1 << i
-            star = common | 1 << i | 1 << j
-            for b in iter_bits(star):
-                adj[b] |= 1 << len(labels)
-            adj.append(star)
-            carriers.append(carriers[i] | carriers[j])
-            labels.append(name)
-            taken.add(name)
-            edges += 1 + common.bit_count()
-        else:
-            count *= 3
-            _size_guard(count)
-            k = len(base.labels) // 2 + 1
-            pair = (f"u{k}", f"v{k}")
-            old = (1 << len(labels)) - 1
-            adj = [nbrs | 3 << len(labels) for nbrs in adj] + [old, old]
-            carriers += [1 << len(base.labels), 2 << len(base.labels)]
-            base = base.join(sphere_zero(*pair))
-            edges += 2 * len(labels)
-            labels += pair
-            taken.update(pair)
-    return _clique_trail(tuple(labels), adj, carriers, base)
+    trail = _Trail(K)
+    trail.grow(steps, rng, moves)
+    return trail.subdivision()
 
 
 def random_flag_sphere(spec: GeneratorSpec) -> tuple[SimplicialComplex, SubdivisionMap]:
@@ -262,10 +283,22 @@ def random_sphere_pair(
 
     The base is reached by ``pre_steps`` random edge subdivisions of a
     cross-polytope boundary; the total applies ``extra_steps`` more.
+    Both are grown on one graph with one random stream: the base is
+    built once, as the clique complex of the graph after the first
+    steps, and the carriers then start afresh over it.  Negative steps
+    are refused before anything is built.
     """
+    if min(pre_steps, extra_steps) < 0:
+        raise MalformedInstance("steps must be >= 0")
     rng = random.Random(seed)
-    K = _grow(_cross_polytope_start(dimension), pre_steps, rng).total
-    return _grow(K, extra_steps, rng)
+    trail = _Trail(_cross_polytope_start(dimension))
+    if pre_steps:
+        trail.grow(pre_steps, rng)
+        trail.rebase(_clique_trail(trail.labels, trail.adj, trail.carriers)[0])
+    if not extra_steps:
+        return trivial_subdivision(trail.base)
+    trail.grow(extra_steps, rng)
+    return trail.subdivision()
 
 
 # -- check suite -------------------------------------------------------------
@@ -602,9 +635,11 @@ def check_names(names: Iterable[str]) -> set[str]:
 
 
 def run_conjecture_suite(
-    instances: list[Instance], checks: set[str]
+    instances: Iterable[Instance], checks: set[str]
 ) -> list[ConjectureReport]:
-    """Evaluate the named checks on every instance.
+    """Evaluate the named checks on every instance, in the order given.
+    The instances are read once, so they may come from a generator that
+    builds each one as it is read; only the reports are kept.
 
     A check whose `Check.reads` names a field or derived value that is
     ``None`` on an instance is recorded there as skipped, without being

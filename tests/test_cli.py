@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -287,6 +288,22 @@ def test_suite_size_guard_refuses_before_building(capsys, monkeypatch):
     assert out == ""
 
 
+def test_suite_generation_error_after_the_first_instance_exits_3(
+    capsys, monkeypatch, tmp_path
+):
+    # Instances are built as they are read, so a refused instance stops
+    # the run after earlier ones were checked: still exit 3, no table.
+    monkeypatch.setattr(harness, "MAX_FACES", 27)  # the seed-0 octahedron
+    argv = ["suite", "--dim", "3", "--checks", "gal", "--count"]
+    assert main(argv + ["1"]) == 0  # the first instance fits
+    capsys.readouterr()
+    assert main(argv + ["3", "--out", str(tmp_path / "r.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeded 27 faces" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_negative_sizes_exit_3(capsys):
     for argv in (
         ("generate", "--dim", "2", "--steps", "-4"),
@@ -431,7 +448,7 @@ def test_suite_builds_no_sphere_pair_unless_a_check_reads_it(
     assert calls == []
     # The same report as from instances built with their pairs.
     args = argparse.Namespace(count=6, dim=3, seed=2)
-    instances = cli._suite_instances(args, set(harness.CHECKS))
+    instances = list(cli._suite_instances(args, set(harness.CHECKS)))
     assert len(calls) == 6
     assert all(inst.pair is not None for inst in instances)
     reports = harness.run_conjecture_suite(instances, checks)
@@ -440,6 +457,30 @@ def test_suite_builds_no_sphere_pair_unless_a_check_reads_it(
     for r in want + got:
         del r["timings_ms"]
     assert got == want
+
+
+def test_suite_holds_no_instance_past_its_report():
+    # The suite builds each instance as it is read, so apart from the
+    # reports it returns, its peak memory does not grow with the count.
+    # The reports (a few KiB each) are kept by design, so they are
+    # subtracted: what the run held at its peak beyond them.
+    checks = set(harness.CHECKS)
+
+    def held_beyond_reports(count):
+        args = argparse.Namespace(count=count, dim=3, seed=0)
+        tracemalloc.start()
+        try:
+            reports = harness.run_conjecture_suite(
+                cli._suite_instances(args, checks), checks
+            )
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == count
+        return peak - kept
+
+    held_beyond_reports(2)  # imports and first-use allocations
+    assert held_beyond_reports(400) < 2 * held_beyond_reports(50)
 
 
 def test_malformed_input_exit_code(capsys, tmp_path):

@@ -502,3 +502,34 @@ def test_cross_polytope_on_custom_labels():
     K = cross_polytope_on(["p", "q"], ["P", "Q"])
     assert K.f_vector() == (1, 4, 4)
     assert not K.has_face(K.mask(["p", "P"]))
+
+
+def _closure_cross_polytope(us, vs) -> SimplicialComplex:
+    """The cross-polytope boundary as the closure of its 2**d facets."""
+    d = len(us)
+    facets = [
+        [vs[i] if pick >> i & 1 else us[i] for i in range(d)] for pick in range(1 << d)
+    ]
+    return from_facets(tuple(us) + tuple(vs), facets)
+
+
+@pytest.mark.parametrize(
+    "us, vs",
+    [
+        ([f"u{i}" for i in range(1, d + 1)], [f"v{i}" for i in range(1, d + 1)])
+        for d in range(1, 9)
+    ]
+    + [(["p", "q"], ["P", "Q"])],
+)
+def test_cross_polytope_on_equals_the_closure_oracle(us, vs):
+    K, want = cross_polytope_on(us, vs), _closure_cross_polytope(us, vs)
+    assert K.labels == want.labels
+    assert K.faces() == want.faces()
+    assert K.facets == want.facets
+    assert K.num_faces() == 3 ** len(us)
+
+
+def test_cross_polytope_on_refuses_labels_shared_between_sides():
+    for us, vs in ((["a", "b"], ["b", "c"]), (["a"], ["a"]), (["a", "a"], ["b", "c"])):
+        with pytest.raises(UnknownVertex):
+            cross_polytope_on(us, vs)

@@ -155,6 +155,14 @@ def test_negative_steps_are_refused():
             random_sphere_pair(2, pre, extra, seed=0)
 
 
+def test_sphere_pair_refuses_negative_steps_before_building(monkeypatch):
+    # Either count is refused before the start complex is built.
+    monkeypatch.setattr(harness, "cross_polytope", _refuse_to_build)
+    for pre, extra in ((-1, 1), (3, -1)):
+        with pytest.raises(MalformedInstance):
+            random_sphere_pair(3, pre, extra, seed=0)
+
+
 def _doc_sha(s) -> str:
     text = json.dumps(subdivision_to_doc(s), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -246,6 +254,33 @@ def test_graph_trail_equals_the_constructor_oracle(case):
     _assert_same_trail(got, oracle(sizes))
     # The guard reads, after each step, the face count the oracle built.
     assert counts == sizes
+
+
+@pytest.mark.parametrize(
+    "dim, steps, extra, seed",
+    [(5, 3, 2, 1), (6, 2, 1, 3), (5, 0, 3, 8), (6, 1, 0, 2)],
+)
+def test_suite_dimensions_equal_the_constructor_oracle(dim, steps, extra, seed):
+    # The hypothesis test draws dims 2-4; the suite draws 3-6.  Each case
+    # checks a sphere pair and a flag sphere, guard counts included.
+    def pair_oracle(sizes):
+        rng = random.Random(seed)
+        start = cross_polytope(dim)
+        sizes.append(start.num_faces())
+        K = oracle_trail(start, steps, rng, None, sizes).total
+        return oracle_trail(K, extra, rng, None, sizes)
+
+    def sphere_oracle(sizes):
+        start = cross_polytope(dim)
+        sizes.append(start.num_faces())
+        return oracle_trail(start, steps + extra, random.Random(seed), spec.moves, sizes)
+
+    spec = GeneratorSpec(dim, steps + extra, seed)
+    for case in (
+        (lambda: random_sphere_pair(dim, steps, extra, seed), pair_oracle),
+        (lambda: random_flag_sphere(spec)[1], sphere_oracle),
+    ):
+        test_graph_trail_equals_the_constructor_oracle.hypothesis.inner_test(case)
 
 
 def _assert_same_trail(got, want):
